@@ -40,7 +40,8 @@ def neg_cf(num: int, den: int) -> tuple[int, ...]:
         a = -(-num // den)  # ceil(num/den)
         out.append(a)
         num, den = den, a * den - num
-    assert all(a >= 2 for a in out)
+    if any(a < 2 for a in out):
+        raise VerificationError(f"entry below 2 in the expansion {out}")
     return tuple(out)
 
 
@@ -132,7 +133,8 @@ def torus_knot_params(p: int, q: int) -> TorusKnotParams:
         raise ValueError(f"need gcd(p, q) == 1, got ({p}, {q})")
     n = -(-q // p)
     k = n * p - q
-    assert 0 < k < p
+    if not 0 < k < p:
+        raise VerificationError(f"k = {k} out of range for ({p}, {q})")
     c = pow(k, -1, p)
     d = (c * k - 1) // p
     p_prime, q_prime = c, c * n - d

@@ -24,12 +24,12 @@ from dataclasses import dataclass
 
 from .diagram import (
     Presentation,
+    chains_for,
     enumerate_presentations,
     is_ambient_tight,
     is_fully_negative,
     is_fully_positive,
     nonvanishing_condition,
-    presentation_chain_tbs,
 )
 from .invariants import ClassicalInvariants, classical_invariants
 
@@ -39,7 +39,7 @@ from .invariants import ClassicalInvariants, classical_invariants
 
 def _leader_extremes(pres: Presentation) -> tuple[bool, bool]:
     """(some leader fully positive, some leader fully negative)."""
-    tbs1, tbs2 = presentation_chain_tbs(pres)
+    tbs1, tbs2 = chains_for(pres.p, pres.q)
     leaders = ((tbs1[0], pres.rots1[0]), (tbs2[0], pres.rots2[0]))
     any_fp = any(is_fully_positive(rot, tb) for tb, rot in leaders)
     any_fn = any(is_fully_negative(rot, tb) for tb, rot in leaders)

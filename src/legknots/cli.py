@@ -22,7 +22,7 @@ from .cf import (
 )
 from .checks import check_names, run_all
 from .classify import classify_level, transverse_classes
-from .diagram import chain_tbs, chains_for, enumerate_presentations
+from .diagram import chain_tbs, enumerate_presentations
 from .floer import hfk_minus, match_invariants
 from .invariants import classical_invariants
 from .lens import surjectivity_check
@@ -283,7 +283,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError, KeyError) as exc:
+    except (ValueError, ArithmeticError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,6 +14,7 @@ parity, rot = tb + 1, tb + 3, ..., -tb - 1.  The knot itself carries
 stab_pos positive and stab_neg negative stabilizations.
 """
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -97,7 +98,7 @@ class Presentation:
         )
 
     def to_dict(self) -> dict:
-        tbs1, tbs2 = presentation_chain_tbs(self)
+        tbs1, tbs2 = chains_for(self.p, self.q)
         return {
             "p": self.p,
             "q": self.q,
@@ -125,24 +126,21 @@ class Presentation:
         )
         validate_presentation(pres)
         stored = tuple(tuple(chain["tb"]) for chain in data["chains"])
-        if stored != presentation_chain_tbs(pres):
+        if stored != chains_for(pres.p, pres.q):
             raise ValueError("tb entries do not match the (p, q) chain shape")
         return pres
 
 
+@functools.lru_cache(maxsize=None)
 def chains_for(p: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The two chain tb tuples shared by every presentation of T(p, -q)."""
     cf1, cf2 = complementary_expansions(torus_knot_params(p, q))
     return chain_tbs(cf1), chain_tbs(cf2)
 
 
-def presentation_chain_tbs(pres: Presentation) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return chains_for(pres.p, pres.q)
-
-
 def validate_presentation(pres: Presentation) -> None:
     """Check rotation parities/ranges and stabilization counts."""
-    tbs1, tbs2 = presentation_chain_tbs(pres)
+    tbs1, tbs2 = chains_for(pres.p, pres.q)
     for tbs, rots in ((tbs1, pres.rots1), (tbs2, pres.rots2)):
         if len(tbs) != len(rots):
             raise ValueError(f"chain length mismatch: {rots} for tbs {tbs}")
@@ -159,10 +157,11 @@ def enumerate_presentations(p: int, q: int, level: int = 0):
     There are prod |tb| * (level + 1) of them; the iteration order is
     deterministic (row-major over chain rotations, then stab split).
     """
-    params = torus_knot_params(p, q)
-    cf1, cf2 = complementary_expansions(params)
-    ranges1 = [rotation_range(tb) for tb in chain_tbs(cf1)]
-    ranges2 = [rotation_range(tb) for tb in chain_tbs(cf2)]
+    if level < 0:
+        raise ValueError(f"need a stabilization level >= 0, got {level}")
+    tbs1, tbs2 = chains_for(p, q)
+    ranges1 = [rotation_range(tb) for tb in tbs1]
+    ranges2 = [rotation_range(tb) for tb in tbs2]
     for rots1 in itertools.product(*ranges1):
         for rots2 in itertools.product(*ranges2):
             for pos in range(level + 1):
@@ -187,7 +186,7 @@ def is_ambient_tight(pres: Presentation) -> bool:
     of the second chain (the one with tb = -n + 1) is unconstrained, as is
     everything about the knot itself.
     """
-    tbs1, tbs2 = presentation_chain_tbs(pres)
+    tbs1, tbs2 = chains_for(pres.p, pres.q)
     for sign in (+1, -1):
         if chain_extreme(tbs1, pres.rots1, sign) and chain_extreme(
             tbs2[:-1], pres.rots2[:-1], -sign
@@ -206,7 +205,7 @@ def nonvanishing_condition(pres: Presentation) -> bool:
     """
     if pres.level != 0:
         raise ValueError("the nonvanishing condition applies to level 0")
-    tbs1, tbs2 = presentation_chain_tbs(pres)
+    tbs1, tbs2 = chains_for(pres.p, pres.q)
     return not is_fully_negative(pres.rots1[0], tbs1[0]) and not is_fully_negative(
         pres.rots2[0], tbs2[0]
     )

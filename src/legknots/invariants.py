@@ -6,58 +6,71 @@ push-offs of one tb = -1 unknot (so any two of them link -1, as does each of
 them with the knot), and consecutive chain unknots link +1.  Chain tails do
 not link the knot or anything outside their chain.
 
-With Q the linking matrix of the surgery curves (smooth framings on the
-diagonal), the invariants of the knot L in the surgered contact 3-sphere are
-computed by the usual formulas:
+Every presentation of T(p, -q) shares the linking matrix Q of the surgery
+curves (smooth framings on the diagonal) and the linking vector lk of the
+knot with them; |det Q| = 1, so Q^{-1} is an integer matrix.  A per-knot
+kernel holds Q^{-1}, w = Q^{-1} lk, lk^T Q^{-1} lk and sig(Q), and the
+invariants of the knot L in the surgered contact 3-sphere are integer dot
+products:
 
-    tb  = tb_0 + det(Q_0) / det(Q)      (Q_0: extend Q by L with a 0 slot)
-    rot = rot_0 - <r, Q^{-1} lk>
+    tb  = tb_0 - lk^T Q^{-1} lk
+    rot = rot_0 - <r, w>
     d3  = (<r, Q^{-1} r> - 3 sig(Q) - 2 chi) / 4 + #(+1 surgeries)
 
-where r is the vector of curve rotation numbers, lk the linking of L with
-the curves, tb_0 = -1 - level and rot_0 = stab_pos - stab_neg.  The d3 we
-report is normalized by +1/2, making it 0 on the standard tight 3-sphere.
+where r is the vector of curve rotation numbers, chi = 1 + #curves,
+tb_0 = -1 - level and rot_0 = stab_pos - stab_neg.  The kernel is built
+with exact Fraction solves and checks its tb against the determinant ratio
+det(Q_0) / det(Q) (Q_0: extend Q by L with a 0 slot), an independent route.
+The d3 we report is normalized by +1/2, making it 0 on the standard tight
+3-sphere.  For the d3 of contact (-1)-surgery on L, the extended matrix
+E = [[Q, lk], [lk^T, -2 - level]] is handled through the Schur complement
+s = -2 - level - lk^T Q^{-1} lk: <r', E^{-1} r'> = <r, Q^{-1} r> + rot^2 / s
+and sig(E) = sig(Q) + sign(s).
 """
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import VerificationError, complementary_expansions, eval_neg_cf, merged_lens_entries
-from .diagram import Presentation, presentation_chain_tbs
+from .cf import complementary_expansions, eval_neg_cf, merged_lens_entries
+from .diagram import Presentation, chains_for
 from .linalg import det_bareiss, signature_symmetric, solve_fraction
 
 
 # ---- the linking matrix
 
 
-def surgery_matrix(pres: Presentation) -> list[list[int]]:
-    """Linking matrix of the surgery curves (chains, then both (+1)-curves)."""
-    tbs1, tbs2 = presentation_chain_tbs(pres)
+def _linking(p: int, q: int) -> tuple[list[list[int]], list[int]]:
+    """(Q, lk): linking matrix of the surgery curves (chains, then both
+    (+1)-curves) and the linking numbers of the knot with them."""
+    tbs1, tbs2 = chains_for(p, q)
     n1, n2 = len(tbs1), len(tbs2)
     m = n1 + n2 + 2
     framings = [tb - 1 for tb in tbs1 + tbs2] + [0, 0]
-    q = [[0] * m for _ in range(m)]
+    mat = [[0] * m for _ in range(m)]
     for i in range(m):
-        q[i][i] = framings[i]
+        mat[i][i] = framings[i]
     for base, size in ((0, n1), (n1, n2)):
         for i in range(base, base + size - 1):
-            q[i][i + 1] = q[i + 1][i] = 1
+            mat[i][i + 1] = mat[i + 1][i] = 1
     main = (0, n1, n1 + n2, n1 + n2 + 1)
+    lk = [0] * m
     for i in main:
+        lk[i] = -1
         for j in main:
             if i != j:
-                q[i][j] = -1
-    return q
+                mat[i][j] = -1
+    return mat, lk
+
+
+def surgery_matrix(pres: Presentation) -> list[list[int]]:
+    """Linking matrix of the surgery curves (chains, then both (+1)-curves)."""
+    return _linking(pres.p, pres.q)[0]
 
 
 def knot_linking_vector(pres: Presentation) -> list[int]:
     """Linking numbers of the knot with each surgery curve."""
-    tbs1, tbs2 = presentation_chain_tbs(pres)
-    n1, n2 = len(tbs1), len(tbs2)
-    lk = [0] * (n1 + n2 + 2)
-    for i in (0, n1, n1 + n2, n1 + n2 + 1):
-        lk[i] = -1
-    return lk
+    return _linking(pres.p, pres.q)[1]
 
 
 def rotation_vector(pres: Presentation) -> list[int]:
@@ -65,56 +78,81 @@ def rotation_vector(pres: Presentation) -> list[int]:
     return list(pres.rots1) + list(pres.rots2) + [0, 0]
 
 
-def _extended_matrix(pres: Presentation, corner: int) -> list[list[int]]:
-    q = surgery_matrix(pres)
-    lk = knot_linking_vector(pres)
-    return [row + [l] for row, l in zip(q, lk)] + [lk + [corner]]
+def _bordered(mat, lk, corner: int) -> list[list[int]]:
+    return [row + [l] for row, l in zip(mat, lk)] + [lk + [corner]]
+
+
+# ---- the per-knot kernel
+
+
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+@dataclass(frozen=True)
+class _Kernel:
+    inverse: tuple[tuple[int, ...], ...]  # Q^{-1}
+    w: tuple[int, ...]  # Q^{-1} lk
+    lk_norm: int  # lk^T Q^{-1} lk
+    sigma: int  # sig(Q)
+
+    def r_norm(self, r) -> int:
+        """r^T Q^{-1} r."""
+        return _dot(r, [_dot(row, r) for row in self.inverse])
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(p: int, q: int) -> _Kernel:
+    """The constants shared by every presentation of T(p, -q), checked."""
+    mat, lk = _linking(p, q)
+    m = len(mat)
+    columns = [solve_fraction(mat, [int(i == j) for i in range(m)]) for j in range(m)]
+    if any(x.denominator != 1 for col in columns for x in col):
+        raise ArithmeticError(f"non-integral inverse linking matrix for T({p}, -{q})")
+    inverse = tuple(tuple(int(col[i]) for col in columns) for i in range(m))
+    w = tuple(_dot(row, lk) for row in inverse)
+    lk_norm = _dot(lk, w)
+    # det(Q_0) = -det(Q) * lk^T Q^{-1} lk: the determinant-ratio tb formula
+    if det_bareiss(_bordered(mat, lk, 0)) != -lk_norm * det_bareiss(mat):
+        raise ArithmeticError(f"tb from Q^-1 disagrees with the determinant ratio for T({p}, -{q})")
+    return _Kernel(inverse, w, lk_norm, signature_symmetric(mat))
+
+
+def _four_d3(r_norm, sigma: int, curves: int):
+    """4 * ((r^T Q^{-1} r - 3 sig - 2 chi) / 4 + 2), chi = 1 + #curves."""
+    return r_norm - 3 * sigma - 2 * (1 + curves) + 8
 
 
 # ---- invariants
 
 
 def compute_tb(pres: Presentation) -> int:
-    q = surgery_matrix(pres)
-    tb = -1 - pres.level + Fraction(det_bareiss(_extended_matrix(pres, 0)), det_bareiss(q))
-    if tb.denominator != 1:
-        raise ArithmeticError(f"non-integral tb {tb} for {pres}")
-    return int(tb)
+    return -1 - pres.level - _kernel(pres.p, pres.q).lk_norm
 
 
 def compute_rot(pres: Presentation) -> int:
-    q = surgery_matrix(pres)
-    r = rotation_vector(pres)
-    x = solve_fraction(q, knot_linking_vector(pres))
-    rot = pres.stab_pos - pres.stab_neg - sum(ri * xi for ri, xi in zip(r, x))
-    if rot.denominator != 1:
-        raise ArithmeticError(f"non-integral rot {rot} for {pres}")
-    return int(rot)
+    w = _kernel(pres.p, pres.q).w
+    return pres.stab_pos - pres.stab_neg - _dot(rotation_vector(pres), w)
 
 
 def compute_d3(pres: Presentation) -> int:
     """d3 of the ambient contact 3-sphere, normalized to 0 on the tight one."""
-    q = surgery_matrix(pres)
+    kernel = _kernel(pres.p, pres.q)
     r = rotation_vector(pres)
-    x = solve_fraction(q, r)
-    csq = sum(ri * xi for ri, xi in zip(r, x))
-    sigma = signature_symmetric(q)
-    chi = 1 + len(q)
-    d3 = (csq - 3 * sigma - 2 * chi) / 4 + 2 + Fraction(1, 2)
-    if d3.denominator != 1:
-        raise ArithmeticError(f"non-integral normalized d3 {d3} for {pres}")
-    return int(d3)
+    four = _four_d3(kernel.r_norm(r), kernel.sigma, len(r)) + 2
+    if four % 4:
+        raise ArithmeticError(f"non-integral normalized d3 {Fraction(four, 4)} for {pres}")
+    return four // 4
 
 
 def d3_surgered(pres: Presentation) -> Fraction:
     """Unnormalized d3 of the result of contact (-1)-surgery on the knot."""
-    ext = _extended_matrix(pres, -2 - pres.level)
-    r = rotation_vector(pres) + [pres.stab_pos - pres.stab_neg]
-    x = solve_fraction(ext, r)
-    csq = sum(ri * xi for ri, xi in zip(r, x))
-    sigma = signature_symmetric(ext)
-    chi = 1 + len(ext)
-    return (csq - 3 * sigma - 2 * chi) / 4 + 2
+    kernel = _kernel(pres.p, pres.q)
+    r = rotation_vector(pres)
+    schur = -2 - pres.level - kernel.lk_norm
+    r_norm = kernel.r_norm(r) + Fraction(compute_rot(pres) ** 2, schur)
+    sigma = kernel.sigma + (1 if schur > 0 else -1)
+    return Fraction(_four_d3(r_norm, sigma, len(r) + 1), 4)
 
 
 # ---- bundled result
@@ -138,11 +176,10 @@ class ClassicalInvariants:
 
 def bigrading(tb: int, rot: int, d3: int) -> tuple:
     """(A, M) = ((tb - rot + 1)/2, 2A - d3); exact, ints when integral."""
-    alex = Fraction(tb - rot + 1, 2)
-    maslov = 2 * alex - d3
-    if alex.denominator == 1:
-        return int(alex), int(maslov)
-    return alex, maslov
+    twice = tb - rot + 1
+    if twice % 2 == 0:
+        return twice // 2, twice - d3
+    return Fraction(twice, 2), Fraction(twice - d3)
 
 
 def classical_invariants(pres: Presentation) -> ClassicalInvariants:
@@ -168,11 +205,12 @@ def validate_smooth_topology(pres: Presentation) -> dict:
     the (+1)-curves.
     """
     p, q = pres.p, pres.q
-    ambient_det = det_bareiss(surgery_matrix(pres))
+    mat, lk = _linking(p, q)
+    ambient_det = det_bareiss(mat)
     report = {"p": p, "q": q, "ambient_det": ambient_det}
     ok = abs(ambient_det) == 1
     if pres.level == 0:
-        h1 = abs(det_bareiss(_extended_matrix(pres, -2)))
+        h1 = abs(det_bareiss(_bordered(mat, lk, -2)))
         u = p * q + 1
         value = eval_neg_cf(merged_lens_entries(*complementary_expansions(pres.params())))
         v_expect = p * p % u
@@ -183,9 +221,3 @@ def validate_smooth_topology(pres: Presentation) -> dict:
     report["ok"] = ok
     return report
 
-
-def assert_smooth_topology(pres: Presentation) -> dict:
-    report = validate_smooth_topology(pres)
-    if not report["ok"]:
-        raise VerificationError(f"smooth topology oracle failed: {report}")
-    return report

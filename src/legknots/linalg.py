@@ -1,7 +1,9 @@
 """Small exact linear-algebra helpers (integer determinants, Fraction solves).
 
 numpy is deliberately not used: every quantity downstream (framings, rotation
-numbers, d3 terms) must stay exact, and the matrices involved are tiny.
+numbers, d3 terms) must stay exact, and the matrices involved are tiny.  The
+invariants layer calls these once per knot, to build and check its integer
+kernel; the tests use them as the per-presentation oracle.
 """
 
 from fractions import Fraction

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from legknots import checks
 from legknots.cli import main
 
 
@@ -141,3 +142,40 @@ def test_verification_failures_exit_1(capsys):
     # classify at a level is fine, but verify on the known open step fails
     code, _, _ = run(capsys, "verify", "--only", "tight-count-steps", "--quiet")
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["enumerate", "classify"])
+def test_negative_level_exits_2(capsys, command):
+    code, out, err = run(capsys, command, "2", "3", "--level", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "cf", "8", "5", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_crashing_check_is_one_fail_line(capsys, monkeypatch):
+    def crash():
+        raise RuntimeError("boom")
+
+    # Every other check is stubbed so that the test measures the runner only.
+    stubbed = tuple(
+        (name, crash if name == "t58-locations" else (lambda name=name: (True, name)))
+        for name, _ in checks.CHECKS
+    )
+    monkeypatch.setattr(checks, "CHECKS", stubbed)
+    results = checks.run_all()
+    assert [name for name, _, _ in results] == [name for name, _ in stubbed]
+    for name, ok, detail in results:
+        if name == "t58-locations":
+            assert (ok, detail) == (False, "RuntimeError: boom")
+        else:
+            assert (ok, detail) == (True, name)
+    code, out, _ = run(capsys, "verify")
+    assert code == 1
+    assert "[FAIL] t58-locations - RuntimeError: boom" in out
+    assert f"{len(stubbed) - 1}/{len(stubbed)} checks passed" in out

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from legknots import classify, diagram
 from legknots.diagram import (
     Presentation,
     chains_for,
@@ -24,7 +25,7 @@ from legknots.invariants import (
     surgery_matrix,
     validate_smooth_topology,
 )
-from legknots.linalg import det_bareiss
+from legknots.linalg import det_bareiss, signature_symmetric, solve_fraction
 
 
 def _all_fully_positive(p, q):
@@ -185,3 +186,60 @@ def test_smooth_topology_reports():
     for p, q in ((3, 4), (5, 8), (2, 9)):
         pres = next(iter(enumerate_presentations(p, q, 0)))
         assert validate_smooth_topology(pres)["ok"]
+
+
+# ---- the per-knot kernel against the per-presentation Fraction oracle
+
+
+def _oracle_d3(mat, r):
+    """(<r, mat^-1 r> - 3 sig - 2 chi) / 4 + 2, by a Fraction solve."""
+    csq = sum(ri * xi for ri, xi in zip(r, solve_fraction(mat, r)))
+    return (csq - 3 * signature_symmetric(mat) - 2 * (1 + len(mat))) / 4 + 2
+
+
+def _oracle(pres):
+    """tb, rot, d3 and surgered d3 from the determinant ratio and Fraction
+    solves on each presentation's own matrices."""
+    mat = surgery_matrix(pres)
+    lk = knot_linking_vector(pres)
+    r = rotation_vector(pres)
+    rot0 = pres.stab_pos - pres.stab_neg
+
+    def bordered(corner):
+        return [row + [l] for row, l in zip(mat, lk)] + [lk + [corner]]
+
+    tb = -1 - pres.level + Fraction(det_bareiss(bordered(0)), det_bareiss(mat))
+    rot = rot0 - sum(ri * xi for ri, xi in zip(r, solve_fraction(mat, lk)))
+    d3 = _oracle_d3(mat, r) + Fraction(1, 2)
+    surgered = _oracle_d3(bordered(-2 - pres.level), r + [rot0])
+    return tb, rot, d3, surgered
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 4), (3, 5), (4, 7), (5, 8), (2, 9)])
+def test_kernel_matches_fraction_oracle(p, q):
+    for level in range(4):
+        for pres in enumerate_presentations(p, q, level):
+            tb, rot, d3, surgered = _oracle(pres)
+            inv = classical_invariants(pres)
+            assert (inv.tb, inv.rot, inv.d3) == (tb, rot, d3)
+            assert bigrading(tb, rot, d3) == (inv.alexander, inv.maslov)
+            assert d3_surgered(pres) == surgered
+
+
+def test_expansions_run_once_per_knot(monkeypatch):
+    calls = []
+    real = diagram.complementary_expansions
+
+    def counted(params):
+        calls.append((params.p, params.q))
+        return real(params)
+
+    monkeypatch.setattr(diagram, "complementary_expansions", counted)
+    diagram.chains_for.cache_clear()
+    classify.classify_level.cache_clear()
+    try:
+        classify.classify_level(5, 8, 2)
+    finally:
+        diagram.chains_for.cache_clear()
+        classify.classify_level.cache_clear()
+    assert calls == [(5, 8)]
