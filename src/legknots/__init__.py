@@ -4,6 +4,10 @@ Surgery presentations, classical invariants (tb, rot, d3), coarse
 classification (tight / loose / strongly non-loose), knot Floer tower
 decompositions, and the lens-space reduction, with a verification suite
 tying them together.
+
+The package exports what the command line uses and the result types it
+returns; everything else is reached through its module (legknots.floer,
+legknots.diagram, ...).
 """
 
 from .cf import (
@@ -12,113 +16,39 @@ from .cf import (
     complementary_expansions,
     eval_neg_cf,
     honda_count,
-    merged_lens_entries,
     neg_cf,
     torus_knot_params,
 )
-from .checks import CHECKS, check_names, run_all, run_check
-from .classify import (
-    EquivClass,
-    ambient_tight_class_count,
-    class_of,
-    classify_level,
-    classify_stabilized,
-    looseness_verdict,
-    positive_stab_looseness,
-    transverse_classes,
-)
-from .diagram import (
-    Presentation,
-    chain_tbs,
-    chains_for,
-    enumerate_presentations,
-    expand_contact_surgery,
-    is_ambient_tight,
-    is_fully_negative,
-    is_fully_positive,
-    nonvanishing_condition,
-    rotation_range,
-    validate_presentation,
-)
-from .floer import (
-    GradedModule,
-    StaircaseComplex,
-    Tower,
-    alexander_exponents,
-    boundary_matrix,
-    closed_form_orders,
-    euler_characteristic,
-    hfk_minus,
-    match_invariants,
-    smith_invariant_factors,
-    staircase,
-)
-from .invariants import (
-    ClassicalInvariants,
-    bigrading,
-    classical_invariants,
-    compute_d3,
-    compute_rot,
-    compute_tb,
-    d3_surgered,
-    validate_smooth_topology,
-)
-from .lens import LensChain, reduce_to_lens_chain, surjectivity_check
+from .checks import check_names, run_all
+from .classify import EquivClass, classify_level, transverse_classes
+from .diagram import Presentation, chain_tbs, enumerate_presentations
+from .floer import GradedModule, Tower, hfk_minus, match_invariants
+from .invariants import ClassicalInvariants, classical_invariants
+from .lens import surjectivity_check
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CHECKS",
     "ClassicalInvariants",
     "EquivClass",
     "GradedModule",
-    "LensChain",
     "Presentation",
-    "StaircaseComplex",
     "TorusKnotParams",
     "Tower",
     "VerificationError",
-    "alexander_exponents",
-    "ambient_tight_class_count",
-    "bigrading",
-    "boundary_matrix",
     "chain_tbs",
-    "chains_for",
     "check_names",
-    "class_of",
     "classical_invariants",
     "classify_level",
-    "classify_stabilized",
-    "closed_form_orders",
     "complementary_expansions",
-    "compute_d3",
-    "compute_rot",
-    "compute_tb",
-    "d3_surgered",
     "enumerate_presentations",
-    "euler_characteristic",
     "eval_neg_cf",
-    "expand_contact_surgery",
     "hfk_minus",
     "honda_count",
-    "is_ambient_tight",
-    "is_fully_negative",
-    "is_fully_positive",
-    "looseness_verdict",
     "match_invariants",
-    "merged_lens_entries",
     "neg_cf",
-    "nonvanishing_condition",
-    "positive_stab_looseness",
-    "reduce_to_lens_chain",
-    "rotation_range",
     "run_all",
-    "run_check",
-    "smith_invariant_factors",
-    "staircase",
     "surjectivity_check",
     "torus_knot_params",
     "transverse_classes",
-    "validate_presentation",
-    "validate_smooth_topology",
 ]

@@ -30,6 +30,7 @@ from .diagram import (
     is_fully_negative,
     is_fully_positive,
     nonvanishing_condition,
+    validate_presentation,
 )
 from .invariants import ClassicalInvariants, classical_invariants
 
@@ -92,7 +93,6 @@ class EquivClass:
         return len(self.members)
 
     def to_dict(self) -> dict:
-        inv = self.invariants
         return {
             "representative": self.representative.to_dict(),
             "size": self.size,
@@ -102,13 +102,7 @@ class EquivClass:
                 "strongly_nonloose": self.strongly_nonloose,
                 "transverse": self.transverse,
             },
-            "invariants": {
-                "tb": inv.tb,
-                "rot": inv.rot,
-                "d3": inv.d3,
-                "A": inv.alexander,
-                "M": inv.maslov,
-            },
+            "invariants": self.invariants.to_dict(),
         }
 
 
@@ -142,35 +136,16 @@ def classify_level(p: int, q: int, level: int) -> tuple[EquivClass, ...]:
         inv = classical_invariants(pres)
         buckets.setdefault(_class_key(pres, inv), []).append((pres, inv))
     classes = [_build_class(items) for items in buckets.values()]
-    order = {"tight": 0, "strongly_nonloose": 1, "loose": 2}
-    classes.sort(
+    classes.sort(  # tight, then strongly non-loose, then loose
         key=lambda c: (
-            order[
-                "tight"
-                if c.ambient_tight
-                else "strongly_nonloose" if c.strongly_nonloose else "loose"
-            ],
+            not c.ambient_tight,
+            c.loose,
             -c.invariants.rot,
             c.invariants.d3,
             c.representative.to_json(),
         )
     )
     return tuple(classes)
-
-
-def classify_stabilized(p: int, q: int, level: int) -> tuple[EquivClass, ...]:
-    """Classes of the level >= 1 stabilizations (the stabilized theorem range)."""
-    if level < 1:
-        raise ValueError("classification of stabilized knots needs level >= 1")
-    return classify_level(p, q, level)
-
-
-def class_of(pres: Presentation) -> EquivClass:
-    """The class containing one presentation (from the full partition)."""
-    for cls in classify_level(pres.p, pres.q, pres.level):
-        if pres in cls.members:
-            return cls
-    raise ValueError(f"presentation not produced by enumeration: {pres}")
 
 
 def ambient_tight_class_count(p: int, q: int, level: int) -> int:
@@ -204,7 +179,7 @@ def transverse_classes(p: int, q: int) -> tuple[EquivClass, ...]:
 
 def positive_stab_looseness(pres: Presentation) -> bool:
     """Whether one positive stabilization of a nonzero-invariant knot is loose."""
+    validate_presentation(pres)
     if pres.level != 0 or not nonvanishing_condition(pres):
         raise ValueError("expected a level-0 presentation with nonzero invariant")
-    stabilized = pres.stabilize(pos=1)
-    return class_of(stabilized).loose
+    return looseness_verdict(pres.stabilize(pos=1)) == "loose"

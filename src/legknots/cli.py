@@ -108,18 +108,7 @@ def cmd_enumerate(args) -> int:
     lines = []
     for pres in enumerate_presentations(args.p, args.q, args.level):
         inv = classical_invariants(pres)
-        items.append(
-            {
-                "presentation": pres.to_dict(),
-                "invariants": {
-                    "tb": inv.tb,
-                    "rot": inv.rot,
-                    "d3": inv.d3,
-                    "A": inv.alexander,
-                    "M": inv.maslov,
-                },
-            }
-        )
+        items.append({"presentation": pres.to_dict(), "invariants": inv.to_dict()})
         lines.append(
             f"rots {list(pres.rots1)} {list(pres.rots2)} stabs (+{pres.stab_pos}, -{pres.stab_neg})"
             f"  tb = {inv.tb}, rot = {inv.rot}, d3 = {inv.d3}, (A, M) = ({inv.alexander}, {inv.maslov})"
@@ -200,7 +189,7 @@ def cmd_lens(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_all(args.only or None, threads=args.threads)
+    results = run_all(args.only or None)
     payload = [{"name": name, "ok": ok, "detail": detail} for name, ok, detail in results]
     failed = [name for name, ok, _ in results if not ok]
     if args.json or args.out:
@@ -270,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=check_names(),
         help="run just this check (repeatable)",
     )
-    verify_cmd.add_argument("--threads", type=int, default=1, help="parallel check workers")
     verify_cmd.set_defaults(func=cmd_verify)
     return parser
 

@@ -17,10 +17,14 @@ stab_pos positive and stab_neg negative stabilizations.
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .cf import TorusKnotParams, complementary_expansions, neg_cf, torus_knot_params
+from .cf import TorusKnotParams, complementary_expansions, torus_knot_params
+
+# Upper bound on one enumeration, prod |tb| * (level + 1); the largest the
+# verification suite needs is 696.
+MAX_PRESENTATIONS = 10**6
 
 
 # ---- chains
@@ -30,14 +34,6 @@ def chain_tbs(cf_entries) -> tuple[int, ...]:
     """Thurston-Bennequin numbers of the chain expanding coefficient -[cf]."""
     first, *rest = cf_entries
     return (-first,) + tuple(-a + 1 for a in rest)
-
-
-def expand_contact_surgery(coeff) -> tuple[int, ...]:
-    """Chain tbs realizing contact surgery with rational coefficient < -1."""
-    coeff = Fraction(coeff)
-    if coeff >= -1:
-        raise ValueError(f"need a coefficient < -1, got {coeff}")
-    return chain_tbs(neg_cf(-coeff.numerator, coeff.denominator))
 
 
 def rotation_range(tb: int) -> range:
@@ -155,11 +151,18 @@ def enumerate_presentations(p: int, q: int, level: int = 0):
     """All presentations of T(p, -q) with stab_pos + stab_neg == level.
 
     There are prod |tb| * (level + 1) of them; the iteration order is
-    deterministic (row-major over chain rotations, then stab split).
+    deterministic (row-major over chain rotations, then stab split).  More
+    than MAX_PRESENTATIONS is refused with ValueError before the first one.
     """
     if level < 0:
         raise ValueError(f"need a stabilization level >= 0, got {level}")
     tbs1, tbs2 = chains_for(p, q)
+    count = math.prod(-tb for tb in tbs1 + tbs2) * (level + 1)
+    if count > MAX_PRESENTATIONS:
+        raise ValueError(
+            f"T({p}, -{q}) has {count} presentations at level {level}, "
+            f"more than the limit of {MAX_PRESENTATIONS}"
+        )
     ranges1 = [rotation_range(tb) for tb in tbs1]
     ranges2 = [rotation_range(tb) for tb in tbs2]
     for rots1 in itertools.product(*ranges1):

@@ -147,11 +147,6 @@ def _even_basis_matrix(complex_: StaircaseComplex, keep_lower: bool) -> list[lis
     return mat
 
 
-def graded_boundary_matrix(complex_: StaircaseComplex) -> list[list[int]]:
-    """A-associated-graded differential, in the even/odd generator bases."""
-    return _even_basis_matrix(complex_, keep_lower=False)
-
-
 # ---- F_2[U] polynomial arithmetic (bitmask encoding, bit k = U^k)
 
 
@@ -326,7 +321,7 @@ def hfk_minus(p: int, q: int) -> GradedModule:
     towers.append(Tower(None, *complex_.gradings[-1]))
     module = GradedModule(tuple(towers))
 
-    graded_factors = smith_invariant_factors(graded_boundary_matrix(complex_))
+    graded_factors = smith_invariant_factors(_even_basis_matrix(complex_, keep_lower=False))
     if len(graded_factors) != len(complex_.gaps):
         raise VerificationError("graded differential has unexpected rank")
     snf_orders = tuple(sorted(f.bit_length() - 1 for f in graded_factors))

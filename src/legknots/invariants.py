@@ -63,16 +63,6 @@ def _linking(p: int, q: int) -> tuple[list[list[int]], list[int]]:
     return mat, lk
 
 
-def surgery_matrix(pres: Presentation) -> list[list[int]]:
-    """Linking matrix of the surgery curves (chains, then both (+1)-curves)."""
-    return _linking(pres.p, pres.q)[0]
-
-
-def knot_linking_vector(pres: Presentation) -> list[int]:
-    """Linking numbers of the knot with each surgery curve."""
-    return _linking(pres.p, pres.q)[1]
-
-
 def rotation_vector(pres: Presentation) -> list[int]:
     """Rotation numbers of the surgery curves ((+1)-curves are unstabilized)."""
     return list(pres.rots1) + list(pres.rots2) + [0, 0]
@@ -172,6 +162,9 @@ class ClassicalInvariants:
     d3: int
     alexander: int
     maslov: int
+
+    def to_dict(self) -> dict:
+        return {"tb": self.tb, "rot": self.rot, "d3": self.d3, "A": self.alexander, "M": self.maslov}
 
 
 def bigrading(tb: int, rot: int, d3: int) -> tuple:

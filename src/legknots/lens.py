@@ -12,6 +12,7 @@ space gives the size of the target and surjectivity can be checked by
 counting the image.
 """
 
+import functools
 from dataclasses import dataclass
 
 from .cf import (
@@ -36,6 +37,16 @@ class LensChain:
         return {"framings": list(self.framings), "rots": list(self.rots)}
 
 
+@functools.lru_cache(maxsize=None)
+def _lens_entries(p: int, q: int) -> tuple[int, ...]:
+    """The merged chain entries shared by every presentation of T(p, -q)."""
+    cf1, cf2 = complementary_expansions(torus_knot_params(p, q))
+    entries = merged_lens_entries(cf1, cf2)
+    if len(entries) != len(cf1) + len(cf2) - 1:
+        raise VerificationError("merged chain has the wrong length")
+    return entries
+
+
 def reduce_to_lens_chain(pres: Presentation) -> LensChain:
     """Collapse an unstabilized presentation to its lens-space chain.
 
@@ -45,14 +56,13 @@ def reduce_to_lens_chain(pres: Presentation) -> LensChain:
     """
     if pres.level != 0:
         raise ValueError("only unstabilized presentations reduce to lens chains")
-    cf1, cf2 = complementary_expansions(torus_knot_params(pres.p, pres.q))
-    entries = merged_lens_entries(cf1, cf2)
+    entries = _lens_entries(pres.p, pres.q)
     rots = (
         tuple(reversed(pres.rots1[1:]))
         + (pres.rots1[0] - pres.rots2[0],)
         + tuple(pres.rots2[1:])
     )
-    if len(entries) != len(cf1) + len(cf2) - 1 or len(rots) != len(entries):
+    if len(rots) != len(entries):
         raise VerificationError("merged chain has the wrong length")
     for entry, rot in zip(entries, rots):
         if rot not in rotation_range(-entry + 1):

@@ -4,9 +4,7 @@ import pytest
 
 from legknots.classify import (
     ambient_tight_class_count,
-    class_of,
     classify_level,
-    classify_stabilized,
     looseness_verdict,
     positive_stab_looseness,
     transverse_classes,
@@ -18,6 +16,11 @@ from legknots.diagram import (
     nonvanishing_condition,
 )
 from legknots.invariants import classical_invariants
+
+
+def _class_index(p, q, level):
+    """Presentation -> its class in the level-`level` partition."""
+    return {pres: cls for cls in classify_level(p, q, level) for pres in cls.members}
 
 
 # ---- verdicts
@@ -48,7 +51,7 @@ def test_verdict_follows_surviving_sign():
 
 def test_classify_level_partitions_everything():
     for level in (1, 2):
-        classes = classify_stabilized(3, 4, level)
+        classes = classify_level(3, 4, level)
         total = sum(cls.size for cls in classes)
         assert total == len(list(enumerate_presentations(3, 4, level)))
         members = [pres for cls in classes for pres in cls.members]
@@ -56,25 +59,15 @@ def test_classify_level_partitions_everything():
 
 
 def test_classes_share_invariants():
-    for cls in classify_stabilized(2, 5, 2):
+    for cls in classify_level(2, 5, 2):
         invs = {(i.tb, i.rot, i.d3) for i in map(classical_invariants, cls.members)}
         assert len(invs) == 1
-
-
-def test_classify_stabilized_requires_positive_level():
-    with pytest.raises(ValueError):
-        classify_stabilized(2, 3, 0)
-
-
-def test_class_of_roundtrip():
-    for pres in enumerate_presentations(2, 5, 1):
-        assert pres in class_of(pres).members
 
 
 def test_tight_classes_merge_by_rotation():
     # at level 1 the tight trefoil classes are (tb, rot) = (-7, 2), (-7, 0)
     # twice over, (-7, -2): the rot-0 class collects both stabilization signs
-    classes = classify_stabilized(2, 3, 1)
+    classes = classify_level(2, 3, 1)
     tight = [cls for cls in classes if cls.ambient_tight]
     assert sorted((cls.invariants.rot, cls.size) for cls in tight) == [(-2, 1), (0, 2), (2, 1)]
 
@@ -89,9 +82,10 @@ def test_ambient_tight_counts():
 
 
 def test_conjugation_acts_on_classes():
-    for cls in classify_stabilized(3, 5, 1):
+    index = _class_index(3, 5, 1)
+    for cls in classify_level(3, 5, 1):
         image = {pres.conjugate() for pres in cls.members}
-        partner = class_of(next(iter(image)))
+        partner = index[next(iter(image))]
         assert image == set(partner.members)
         assert partner.invariants.rot == -cls.invariants.rot
         assert partner.invariants.d3 == cls.invariants.d3
@@ -135,7 +129,8 @@ def test_negative_stabilizations_stay_distinct():
         for pres in enumerate_presentations(5, 8, 0)
         if nonvanishing_condition(pres)
     ]
-    classes = {class_of(pres) for pres in reps}
+    index = _class_index(5, 8, 8)
+    classes = {index[pres] for pres in reps}
     assert len(classes) == len(reps)
     for cls in classes:
         assert cls.strongly_nonloose

@@ -151,6 +151,13 @@ def test_negative_level_exits_2(capsys, command):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["enumerate", "classify"])
+def test_oversized_level_exits_2(capsys, command):
+    code, out, err = run(capsys, command, "2", "3", "--level", "100000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unwritable_out_exits_2(capsys, tmp_path):
     target = tmp_path / "missing" / "report.json"
     code, out, err = run(capsys, "cf", "8", "5", "--out", str(target))

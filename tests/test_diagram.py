@@ -2,16 +2,15 @@
 
 import json
 import math
-from fractions import Fraction
 
 import pytest
 
+from legknots import diagram
 from legknots.diagram import (
     Presentation,
     chain_tbs,
     chains_for,
     enumerate_presentations,
-    expand_contact_surgery,
     is_ambient_tight,
     is_fully_negative,
     is_fully_positive,
@@ -28,16 +27,6 @@ def test_chain_tbs():
     assert chain_tbs((2,)) == (-2,)
     assert chain_tbs((3, 2)) == (-3, -1)
     assert chain_tbs((2, 3, 2)) == (-2, -2, -1)
-
-
-def test_expand_contact_surgery():
-    assert expand_contact_surgery(-2) == (-2,)
-    assert expand_contact_surgery(Fraction(-3, 2)) == (-2, -1)
-    assert expand_contact_surgery(Fraction(-8, 5)) == (-2, -2, -1)
-    with pytest.raises(ValueError):
-        expand_contact_surgery(-1)
-    with pytest.raises(ValueError):
-        expand_contact_surgery(Fraction(1, 2))
 
 
 def test_rotation_range():
@@ -71,6 +60,15 @@ def test_enumeration_counts():
         tbs1, tbs2 = chains_for(p, q)
         expected = (level + 1) * math.prod(-tb for tb in tbs1 + tbs2)
         assert len(list(enumerate_presentations(p, q, level))) == expected
+
+
+def test_enumeration_refuses_oversized_requests(monkeypatch):
+    # T(2, -3) at level 2 has 4 * 3 = 12 presentations
+    monkeypatch.setattr(diagram, "MAX_PRESENTATIONS", 12)
+    assert len(list(enumerate_presentations(2, 3, 2))) == 12
+    monkeypatch.setattr(diagram, "MAX_PRESENTATIONS", 11)
+    with pytest.raises(ValueError, match="more than the limit of 11"):
+        next(enumerate_presentations(2, 3, 2))
 
 
 def test_enumeration_is_valid_and_unique():

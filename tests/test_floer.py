@@ -8,11 +8,11 @@ from legknots.cf import VerificationError
 from legknots.floer import (
     GradedModule,
     Tower,
+    _even_basis_matrix,
     alexander_exponents,
     boundary_matrix,
     closed_form_orders,
     euler_characteristic,
-    graded_boundary_matrix,
     hfk_minus,
     match_invariants,
     matrix_product,
@@ -193,7 +193,7 @@ def test_euler_characteristic_matches_alexander():
 
 def test_graded_matrix_shape():
     sc = staircase(5, 8)
-    mat = graded_boundary_matrix(sc)
+    mat = _even_basis_matrix(sc, keep_lower=False)
     assert len(mat) == len(sc.gaps) + 1 and len(mat[0]) == len(sc.gaps)
 
 

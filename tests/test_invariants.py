@@ -14,15 +14,14 @@ from legknots.diagram import (
     nonvanishing_condition,
 )
 from legknots.invariants import (
+    _linking,
     bigrading,
     classical_invariants,
     compute_d3,
     compute_rot,
     compute_tb,
     d3_surgered,
-    knot_linking_vector,
     rotation_vector,
-    surgery_matrix,
     validate_smooth_topology,
 )
 from legknots.linalg import det_bareiss, signature_symmetric, solve_fraction
@@ -39,21 +38,21 @@ def _all_fully_positive(p, q):
 def test_surgery_matrix_trefoil():
     pres = Presentation(2, 3, (1,), (1, 0))
     # curves: chain1 leader, chain2 leader, chain2 tail, two (+1)-curves
-    assert surgery_matrix(pres) == [
+    mat, lk = _linking(2, 3)
+    assert mat == [
         [-3, -1, 0, -1, -1],
         [-1, -3, 1, -1, -1],
         [0, 1, -2, 0, 0],
         [-1, -1, 0, 0, -1],
         [-1, -1, 0, -1, 0],
     ]
-    assert knot_linking_vector(pres) == [-1, -1, 0, -1, -1]
+    assert lk == [-1, -1, 0, -1, -1]
     assert rotation_vector(pres) == [1, 1, 0, 0, 0]
 
 
 def test_ambient_is_a_homology_sphere():
     for p, q in ((2, 3), (3, 4), (5, 8), (4, 7)):
-        pres = next(iter(enumerate_presentations(p, q, 0)))
-        assert abs(det_bareiss(surgery_matrix(pres))) == 1
+        assert abs(det_bareiss(_linking(p, q)[0])) == 1
 
 
 # ---- tb
@@ -200,8 +199,7 @@ def _oracle_d3(mat, r):
 def _oracle(pres):
     """tb, rot, d3 and surgered d3 from the determinant ratio and Fraction
     solves on each presentation's own matrices."""
-    mat = surgery_matrix(pres)
-    lk = knot_linking_vector(pres)
+    mat, lk = _linking(pres.p, pres.q)
     r = rotation_vector(pres)
     rot0 = pres.stab_pos - pres.stab_neg
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from legknots import lens
 from legknots.cf import honda_count
 from legknots.diagram import Presentation, enumerate_presentations, rotation_range
 from legknots.invariants import d3_surgered
@@ -87,3 +88,23 @@ def test_palindromic_chain_keeps_distinct_structures():
     assert report["image_size"] == 4
     chains = {reduce_to_lens_chain(p).framings for p in enumerate_presentations(3, 5, 0)}
     assert chains == {(-2, -5, -2)}
+
+
+def test_expansions_run_once_per_knot(monkeypatch):
+    calls = []
+    real = lens.complementary_expansions
+
+    def counted(params):
+        calls.append((params.p, params.q))
+        return real(params)
+
+    monkeypatch.setattr(lens, "complementary_expansions", counted)
+    lens._lens_entries.cache_clear()
+    try:
+        surjectivity_check(5, 8)
+        surjectivity_check(3, 4)
+        for pres in enumerate_presentations(5, 8, 0):
+            reduce_to_lens_chain(pres)
+    finally:
+        lens._lens_entries.cache_clear()
+    assert calls == [(5, 8), (3, 4)]
