@@ -72,8 +72,13 @@ def cmd_cf(args) -> int:
 
 def cmd_params(args) -> int:
     params = torus_knot_params(args.p, args.q)
-    cf1, cf2 = complementary_expansions(params)
-    coeff1, coeff2 = params.chain1_coefficient, params.chain2_coefficient
+    chains = [
+        {"coefficient": coeff, "entries": list(cf), "tb": list(chain_tbs(cf))}
+        for coeff, cf in zip(
+            (params.chain1_coefficient, params.chain2_coefficient),
+            complementary_expansions(params),
+        )
+    ]
     s1, s2 = params.seifert_constants
     payload = {
         "p": params.p,
@@ -86,18 +91,16 @@ def cmd_params(args) -> int:
         "q_prime": params.q_prime,
         "genus": params.genus,
         "seifert_constants": [s1, s2],
-        "chains": [
-            {"coefficient": coeff1, "entries": list(cf1), "tb": list(chain_tbs(cf1))},
-            {"coefficient": coeff2, "entries": list(cf2), "tb": list(chain_tbs(cf2))},
-        ],
+        "chains": chains,
     }
     lines = [
         f"T({params.p}, -{params.q}):  q = {params.n}p - {params.k}",
         f"  c = {params.c}, d = {params.d}, p' = {params.p_prime}, q' = {params.q_prime}",
         f"  genus = {params.genus}",
         f"  Seifert constants {s1}, {s2}",
-        f"  chain 1: coefficient {coeff1} -> entries {list(cf1)}, tb {list(chain_tbs(cf1))}",
-        f"  chain 2: coefficient {coeff2} -> entries {list(cf2)}, tb {list(chain_tbs(cf2))}",
+    ] + [
+        f"  chain {i}: coefficient {c['coefficient']} -> entries {c['entries']}, tb {c['tb']}"
+        for i, c in enumerate(chains, 1)
     ]
     _emit(args, payload, lines)
     return 0

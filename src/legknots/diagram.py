@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .cf import TorusKnotParams, complementary_expansions, torus_knot_params
+from .cf import complementary_expansions, torus_knot_params
 
 # Upper bound on one enumeration, prod |tb| * (level + 1); the largest the
 # verification suite needs is 696.
@@ -70,9 +70,6 @@ class Presentation:
     def level(self) -> int:
         """Total number of stabilizations on the knot."""
         return self.stab_pos + self.stab_neg
-
-    def params(self) -> TorusKnotParams:
-        return torus_knot_params(self.p, self.q)
 
     def conjugate(self) -> "Presentation":
         """Mirror of the presentation: all rotations negated, stabs swapped."""

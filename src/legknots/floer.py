@@ -17,13 +17,23 @@ the homology splits into towers
 
     F[U] x_{2m}  (+)  sum_i F[U] x_{2i} / (U^{g_i}).
 
+The differential is written once, as sparse columns whose entries are
+monomials U^k (bitmasks 1 << k).  d^2 = 0 is checked on those columns: a
+product of monomials is a shift.  Every matrix read from it is graded, so
+its Smith normal form is a least-degree elimination: the pivot of least
+degree divides every other entry, its column is cleared with row operations
+(entries stay monomials, or cancel), and the pivots come out in
+divisibility order.
+
 Three independent computations of the finite tower orders are compared:
-the staircase gaps, Smith normal form of the graded differential over
-F_2[U], and the closed form reading the odd-position exponent gaps straight
-off the Alexander polynomial.
+the staircase gaps, the Smith normal form of the graded differential, and
+the closed form reading the odd-position exponent gaps straight off the
+Alexander polynomial.
 """
 
 import functools
+import heapq
+import math
 from dataclasses import dataclass
 
 from .cf import VerificationError
@@ -32,28 +42,22 @@ from .classify import transverse_classes
 
 # ---- Alexander polynomial
 
+# Upper bound on p * q for the Floer layer: the staircase has about pq/2
+# generators.  The largest pairs the benchmark pool and the checks use have
+# pq <= 2000, and deep-knots matches have q <= 60.
+MAX_PQ = 10**4
 
-def _exact_poly_div(num: list[int], den: list[int]) -> list[int]:
-    """Quotient of monic integer polynomial division; remainder must vanish."""
+
+def _divide_by_t_power_minus_one(num: list[int], k: int) -> list[int]:
+    """Quotient of num by t^k - 1; the remainder must vanish."""
     num = list(num)
-    shift = len(den) - 1
-    quot = [0] * (len(num) - shift)
+    quot = [0] * (len(num) - k)
     for i in range(len(quot) - 1, -1, -1):
-        c = num[i + shift]
-        if c:
-            quot[i] = c
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    if any(num):
+        quot[i] = num[i + k]
+        num[i] += quot[i]
+    if any(num[:k]):
         raise VerificationError("polynomial division left a remainder")
     return quot
-
-
-def _t_power_minus_one(k: int) -> list[int]:
-    poly = [0] * (k + 1)
-    poly[0] = -1
-    poly[k] = 1
-    return poly
 
 
 @functools.lru_cache(maxsize=None)
@@ -61,13 +65,17 @@ def alexander_exponents(p: int, q: int) -> tuple[int, ...]:
     """Descending exponents of the symmetrized Alexander polynomial of T(p, q).
 
     Coefficients alternate +1, -1, ... from the top exponent (p-1)(q-1)/2.
+    Pairs with pq > MAX_PQ are refused before any work.
     """
     if not 2 <= p < q:
         raise ValueError(f"need 2 <= p < q, got ({p}, {q})")
+    if math.gcd(p, q) != 1:
+        raise ValueError(f"need gcd(p, q) == 1, got ({p}, {q})")
+    if p * q > MAX_PQ:
+        raise ValueError(f"T({p}, {q}) has pq = {p * q}, more than the limit of {MAX_PQ}")
     numerator = [0] * (p * q + 2)
     numerator[0], numerator[1], numerator[p * q], numerator[p * q + 1] = 1, -1, -1, 1
-    quot = _exact_poly_div(numerator, _t_power_minus_one(p))
-    quot = _exact_poly_div(quot, _t_power_minus_one(q))
+    quot = _divide_by_t_power_minus_one(_divide_by_t_power_minus_one(numerator, p), q)
     genus = (p - 1) * (q - 1) // 2
     exponents = []
     for e in range(len(quot) - 1, -1, -1):
@@ -96,10 +104,6 @@ class StaircaseComplex:
     gradings: tuple[tuple[int, int], ...]  # (A, M) for x_0, x_1, ...
     gaps: tuple[int, ...]  # gaps[i] = A(x_{2i}) - A(x_{2i+1}) >= 1
 
-    @property
-    def genus(self) -> int:
-        return (self.p - 1) * (self.q - 1) // 2
-
 
 @functools.lru_cache(maxsize=None)
 def staircase(p: int, q: int) -> StaircaseComplex:
@@ -120,132 +124,87 @@ def staircase(p: int, q: int) -> StaircaseComplex:
     return StaircaseComplex(p, q, tuple(gradings), gaps)
 
 
-def boundary_matrix(complex_: StaircaseComplex) -> list[list[int]]:
-    """Full differential over F_2[U] (polynomials as bitmasks), column per
-    generator: dx_{2i+1} = U^{g_i} x_{2i} + x_{2i+2}."""
-    n = len(complex_.gradings)
-    mat = [[0] * n for _ in range(n)]
-    for i, g in enumerate(complex_.gaps):
-        mat[2 * i][2 * i + 1] = 1 << g
-        mat[2 * i + 2][2 * i + 1] = 1
-    return mat
+def differential(complex_: StaircaseComplex) -> dict[int, dict[int, int]]:
+    """The differential as sparse columns, generator -> {generator: U^k as
+    the bitmask 1 << k}; only generators with nonzero boundary appear:
+    dx_{2i+1} = U^{g_i} x_{2i} + x_{2i+2}."""
+    return {2 * i + 1: {2 * i: 1 << g, 2 * i + 2: 1} for i, g in enumerate(complex_.gaps)}
 
 
-def _even_basis_matrix(complex_: StaircaseComplex, keep_lower: bool) -> list[list[int]]:
-    """Differential as a map (odd generators) -> (even-generator span).
+def squares_to_zero(d: dict[int, dict[int, int]]) -> bool:
+    """Whether d(d(x)) = 0 for every column x of a monomial differential."""
+    for column in d.values():
+        image: dict[int, int] = {}
+        for middle, a in column.items():
+            for target, b in d.get(middle, {}).items():
+                image[target] = image.get(target, 0) ^ (a << (b.bit_length() - 1))
+        if any(image.values()):
+            return False
+    return True
+
+
+def _even_basis_matrix(
+    complex_: StaircaseComplex, d: dict[int, dict[int, int]], graded: bool
+) -> list[list[int]]:
+    """The differential d as a map (odd generators) -> (even-generator span).
 
     Both differential branches land on even generators, so this matrix
-    presents the homology: rows x_0, ..., x_{2m}, one column per x_{2i+1}.
-    Dropping the lower branch gives the A-associated-graded differential.
+    presents the homology: rows x_0, x_2, ..., x_{2m}, one column per
+    x_{2i+1}.  With graded=True only the terms a x_r of d(x_c) with
+    A(x_r) - deg a = A(x_c) are kept: the A-associated-graded differential.
     """
-    m = len(complex_.gaps)
-    mat = [[0] * m for _ in range(m + 1)]
-    for i, g in enumerate(complex_.gaps):
-        mat[i][i] = 1 << g
-        if keep_lower:
-            mat[i + 1][i] = 1
+    alexander = [a for a, _ in complex_.gradings]
+    columns = sorted(d)
+    mat = [[0] * len(columns) for _ in range(len(alexander) // 2 + 1)]
+    for j, c in enumerate(columns):
+        for r, entry in d[c].items():
+            if not graded or alexander[r] - (entry.bit_length() - 1) == alexander[c]:
+                mat[r // 2][j] = entry
     return mat
-
-
-# ---- F_2[U] polynomial arithmetic (bitmask encoding, bit k = U^k)
-
-
-def poly_mul(a: int, b: int) -> int:
-    out = 0
-    while b:
-        low = b & -b
-        out ^= a << (low.bit_length() - 1)
-        b ^= low
-    return out
-
-
-def poly_divmod(a: int, b: int) -> tuple[int, int]:
-    if b == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    deg_b = b.bit_length() - 1
-    quot = 0
-    while a and a.bit_length() - 1 >= deg_b:
-        shift = a.bit_length() - 1 - deg_b
-        quot ^= 1 << shift
-        a ^= b << shift
-    return quot, a
-
-
-def matrix_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            if a[i][k]:
-                for j in range(cols):
-                    if b[k][j]:
-                        out[i][j] ^= poly_mul(a[i][k], b[k][j])
-    return out
 
 
 def smith_invariant_factors(mat: list[list[int]]) -> list[int]:
-    """Diagonal invariant factors of a matrix over F_2[U], each dividing the
-    next; the list length is the matrix rank."""
-    a = [row[:] for row in mat]
-    rows = len(a)
-    cols = len(a[0]) if a else 0
+    """Invariant factors of a graded matrix over F_2[U] with monomial entries
+    (bitmasks 1 << k), each dividing the next; the list length is the rank.
+
+    Least-degree elimination on sparse rows of exponents: the pivot divides
+    every other entry, so clearing its column with row operations and then
+    dropping its row and column leaves a matrix of the same kind.  A
+    non-monomial entry, or a row operation that would make one (the matrix
+    is not graded), raises VerificationError.
+    """
+    if any(entry & (entry - 1) for row in mat for entry in row):
+        raise VerificationError("matrix entry is not a monomial")
+    rows = {i: {j: e.bit_length() - 1 for j, e in enumerate(row) if e} for i, row in enumerate(mat)}
+    heap = [(k, i, j) for i, row in rows.items() for j, k in row.items()]
+    cols: dict[int, set[int]] = {}
+    for _, i, j in heap:
+        cols.setdefault(j, set()).add(i)
+    heapq.heapify(heap)
     factors = []
-    t = 0
-    while t < min(rows, cols):
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                entry = a[i][j]
-                if entry and (pivot is None or entry.bit_length() < a[pivot[0]][pivot[1]].bit_length()):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    quot, _ = poly_divmod(a[i][t], a[t][t])
-                    for j in range(t, cols):
-                        a[i][j] ^= poly_mul(quot, a[t][j])
-                    if a[i][t]:  # remainder has smaller degree; promote it
-                        a[t], a[i] = a[i], a[t]
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    quot, _ = poly_divmod(a[t][j], a[t][t])
-                    for i in range(t, rows):
-                        a[i][j] ^= poly_mul(quot, a[i][t])
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            if a[t][t] == 1:  # a unit divides everything
-                break
-            offender = next(
-                (
-                    i
-                    for i in range(t + 1, rows)
-                    for j in range(t + 1, cols)
-                    if a[i][j] and poly_divmod(a[i][j], a[t][t])[1]
-                ),
-                None,
-            )
-            if offender is None:
-                break
-            for j in range(t, cols):
-                a[t][j] ^= a[offender][j]
-        factors.append(a[t][t])
-        t += 1
+    while heap:
+        k, i, j = heapq.heappop(heap)
+        if rows.get(i, {}).get(j) != k:
+            continue  # cancelled, or its row was dropped
+        pivot_row = rows.pop(i)
+        del pivot_row[j]
+        for c in pivot_row:
+            cols[c].discard(i)
+        for r in cols.pop(j) - {i}:
+            target = rows[r]
+            shift = target.pop(j) - k
+            for c, e in pivot_row.items():
+                old = target.get(c)
+                if old is None:
+                    target[c] = e + shift
+                    cols[c].add(r)
+                    heapq.heappush(heap, (e + shift, r, c))
+                elif old == e + shift:
+                    del target[c]
+                    cols[c].discard(r)
+                else:
+                    raise VerificationError("elimination left a non-monomial entry")
+        factors.append(1 << k)
     return factors
 
 
@@ -310,8 +269,8 @@ def hfk_minus(p: int, q: int) -> GradedModule:
     Euler characteristic matches the Alexander polynomial, and d^2 = 0.
     """
     complex_ = staircase(p, q)
-    full = boundary_matrix(complex_)
-    if any(entry for row in matrix_product(full, full) for entry in row):
+    d = differential(complex_)
+    if not squares_to_zero(d):
         raise VerificationError("staircase differential does not square to zero")
 
     towers = []
@@ -321,7 +280,7 @@ def hfk_minus(p: int, q: int) -> GradedModule:
     towers.append(Tower(None, *complex_.gradings[-1]))
     module = GradedModule(tuple(towers))
 
-    graded_factors = smith_invariant_factors(_even_basis_matrix(complex_, keep_lower=False))
+    graded_factors = smith_invariant_factors(_even_basis_matrix(complex_, d, graded=True))
     if len(graded_factors) != len(complex_.gaps):
         raise VerificationError("graded differential has unexpected rank")
     snf_orders = tuple(sorted(f.bit_length() - 1 for f in graded_factors))
@@ -336,9 +295,9 @@ def hfk_minus(p: int, q: int) -> GradedModule:
     # differential has full rank on the odd generators, and the image lies
     # inside that span, so the even-basis matrix presents the homology: it
     # must reduce to one free summand and no torsion -- the Floer homology
-    # of the sphere.  (Its columns are the nonzero columns of the full
-    # matrix, so full rank here is full rank there.)
-    full_factors = smith_invariant_factors(_even_basis_matrix(complex_, keep_lower=True))
+    # of the sphere.  (Its columns are the columns of d, so full rank here
+    # is full rank of d.)
+    full_factors = smith_invariant_factors(_even_basis_matrix(complex_, d, graded=False))
     if len(full_factors) != len(complex_.gaps) or any(f != 1 for f in full_factors):
         raise VerificationError("full complex is not the homology of the sphere")
 
@@ -359,8 +318,8 @@ def match_invariants(p: int, q: int) -> dict:
     raises VerificationError if any class misses the bottom set or two
     classes collide at one location.
     """
+    module = hfk_minus(p, q)  # first: it refuses oversized pairs before any work
     classes = transverse_classes(p, q)
-    module = hfk_minus(p, q)
     bottoms = module.finite_bottoms()
     realized = [(c.invariants.alexander, c.invariants.maslov) for c in classes]
     misplaced = sorted(set(realized) - bottoms)

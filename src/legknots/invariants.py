@@ -32,7 +32,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import complementary_expansions, eval_neg_cf, merged_lens_entries
+from .cf import complementary_expansions, eval_neg_cf, merged_lens_entries, torus_knot_params
 from .diagram import Presentation, chains_for
 from .linalg import det_bareiss, signature_symmetric, solve_fraction
 
@@ -205,7 +205,7 @@ def validate_smooth_topology(pres: Presentation) -> dict:
     if pres.level == 0:
         h1 = abs(det_bareiss(_bordered(mat, lk, -2)))
         u = p * q + 1
-        value = eval_neg_cf(merged_lens_entries(*complementary_expansions(pres.params())))
+        value = eval_neg_cf(merged_lens_entries(*complementary_expansions(torus_knot_params(p, q))))
         v_expect = p * p % u
         report["surgered_h1"] = h1
         report["lens"] = (value.numerator, value.denominator)

@@ -158,6 +158,21 @@ def test_oversized_level_exits_2(capsys, command):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hfk", "2", "4"),  # not coprime
+        ("hfk", "3", "9"),
+        ("hfk", "2", "100001"),  # pq above floer.MAX_PQ, refused before any work
+        ("match", "2", "100001"),
+    ],
+)
+def test_bad_floer_pairs_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unwritable_out_exits_2(capsys, tmp_path):
     target = tmp_path / "missing" / "report.json"
     code, out, err = run(capsys, "cf", "8", "5", "--out", str(target))

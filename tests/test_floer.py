@@ -3,24 +3,113 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legknots.cf import VerificationError
 from legknots.floer import (
-    GradedModule,
+    MAX_PQ,
     Tower,
     _even_basis_matrix,
     alexander_exponents,
-    boundary_matrix,
     closed_form_orders,
+    differential,
     euler_characteristic,
     hfk_minus,
     match_invariants,
-    matrix_product,
-    poly_divmod,
-    poly_mul,
     smith_invariant_factors,
+    squares_to_zero,
     staircase,
 )
+
+# ---- oracle: dense Smith normal form over F_2[U] (bitmask encoding, bit k = U^k)
+
+
+def poly_mul(a: int, b: int) -> int:
+    out = 0
+    while b:
+        low = b & -b
+        out ^= a << (low.bit_length() - 1)
+        b ^= low
+    return out
+
+
+def poly_divmod(a: int, b: int) -> tuple[int, int]:
+    if b == 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    deg_b = b.bit_length() - 1
+    quot = 0
+    while a and a.bit_length() - 1 >= deg_b:
+        shift = a.bit_length() - 1 - deg_b
+        quot ^= 1 << shift
+        a ^= b << shift
+    return quot, a
+
+
+def dense_smith(mat: list[list[int]]) -> list[int]:
+    """Invariant factors of any matrix over F_2[U] by generic Euclidean
+    elimination, each dividing the next."""
+    a = [row[:] for row in mat]
+    rows = len(a)
+    cols = len(a[0]) if a else 0
+    factors = []
+    t = 0
+    while t < min(rows, cols):
+        pivot = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                entry = a[i][j]
+                if entry and (pivot is None or entry.bit_length() < a[pivot[0]][pivot[1]].bit_length()):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        a[t], a[pi] = a[pi], a[t]
+        for row in a:
+            row[t], row[pj] = row[pj], row[t]
+        while True:
+            dirty = False
+            for i in range(t + 1, rows):
+                if a[i][t]:
+                    quot, _ = poly_divmod(a[i][t], a[t][t])
+                    for j in range(t, cols):
+                        a[i][j] ^= poly_mul(quot, a[t][j])
+                    if a[i][t]:  # remainder has smaller degree; promote it
+                        a[t], a[i] = a[i], a[t]
+                    dirty = True
+                    break
+            if dirty:
+                continue
+            for j in range(t + 1, cols):
+                if a[t][j]:
+                    quot, _ = poly_divmod(a[t][j], a[t][t])
+                    for i in range(t, rows):
+                        a[i][j] ^= poly_mul(quot, a[i][t])
+                    if a[t][j]:
+                        for row in a:
+                            row[t], row[j] = row[j], row[t]
+                    dirty = True
+                    break
+            if dirty:
+                continue
+            if a[t][t] == 1:  # a unit divides everything
+                break
+            offender = next(
+                (
+                    i
+                    for i in range(t + 1, rows)
+                    for j in range(t + 1, cols)
+                    if a[i][j] and poly_divmod(a[i][j], a[t][t])[1]
+                ),
+                None,
+            )
+            if offender is None:
+                break
+            for j in range(t, cols):
+                a[t][j] ^= a[offender][j]
+        factors.append(a[t][t])
+        t += 1
+    return factors
 
 
 # ---- Alexander polynomial
@@ -59,6 +148,11 @@ def test_alexander_rejects():
         alexander_exponents(3, 3)
     with pytest.raises(ValueError):
         alexander_exponents(4, 3)
+    with pytest.raises(ValueError, match="gcd"):
+        alexander_exponents(2, 4)
+    with pytest.raises(ValueError, match="limit"):
+        alexander_exponents(2, 100001)  # refused before the division starts
+    assert len(alexander_exponents(2, MAX_PQ // 2 - 1)) == MAX_PQ // 2 - 1  # largest allowed
 
 
 # ---- staircase
@@ -95,12 +189,17 @@ def test_staircase_differential_drops_maslov_by_one():
 
 def test_boundary_squares_to_zero():
     for p, q in ((2, 3), (4, 5), (5, 8), (7, 9)):
-        mat = boundary_matrix(staircase(p, q))
-        square = matrix_product(mat, mat)
-        assert all(entry == 0 for row in square for entry in row)
+        assert squares_to_zero(differential(staircase(p, q)))
 
 
-# ---- polynomial arithmetic over F_2[U]
+def test_squares_to_zero_multiplies_monomials():
+    # d^2 x_2 = U^2 U^3 x_0 != 0
+    assert not squares_to_zero({2: {1: 1 << 2}, 1: {0: 1 << 3}})
+    # d^2 x_3 = U U^2 x_0 + U^2 U x_0 = 0 over F_2
+    assert squares_to_zero({3: {1: 0b10, 2: 0b100}, 1: {0: 0b100}, 2: {0: 0b10}})
+
+
+# ---- the dense oracle's polynomial arithmetic over F_2[U]
 
 
 def test_poly_mul():
@@ -125,7 +224,7 @@ def test_smith_diagonal():
 def test_smith_preserves_divisibility_chain():
     mat = [[0b10, 0], [1, 0b1000]]
     factors = smith_invariant_factors(mat)
-    assert len(factors) == 2
+    assert factors == dense_smith(mat) == [1, 0b10000]
     for first, second in zip(factors, factors[1:]):
         assert poly_divmod(second, first)[1] == 0
 
@@ -133,6 +232,46 @@ def test_smith_preserves_divisibility_chain():
 def test_smith_unit_row():
     assert smith_invariant_factors([[1, 1 << 4]]) == [1]
     assert smith_invariant_factors([[0, 0], [0, 0]]) == []
+    assert smith_invariant_factors([]) == []
+
+
+def test_smith_rejects_non_graded_input():
+    with pytest.raises(VerificationError):
+        smith_invariant_factors([[1, 1], [1, 0b10]])  # the elimination makes 1 + U
+    with pytest.raises(VerificationError):
+        smith_invariant_factors([[0b11]])  # 1 + U is not a monomial
+
+
+def test_smith_matches_oracle_on_staircases():
+    for q in range(3, 21):
+        for p in range(2, q):
+            if math.gcd(p, q) != 1:
+                continue
+            sc = staircase(p, q)
+            for graded in (True, False):
+                mat = _even_basis_matrix(sc, differential(sc), graded)
+                assert smith_invariant_factors(mat) == dense_smith(mat), (p, q, graded)
+
+
+@st.composite
+def graded_matrices(draw):
+    """Monomial matrices with row weights r_i and column weights c_j: entry
+    (i, j) is 0 or U^(c_j - r_i), so every row operation keeps the grading."""
+    row_weights = draw(st.lists(st.integers(0, 4), min_size=1, max_size=6))
+    col_weights = draw(st.lists(st.integers(0, 8), min_size=1, max_size=6))
+    return [
+        [1 << (c - r) if c >= r and draw(st.booleans()) else 0 for c in col_weights]
+        for r in row_weights
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(graded_matrices())
+def test_smith_matches_dense_oracle(mat):
+    factors = smith_invariant_factors(mat)
+    assert factors == dense_smith(mat)
+    for first, second in zip(factors, factors[1:]):
+        assert poly_divmod(second, first)[1] == 0
 
 
 # ---- tower decomposition
@@ -193,8 +332,17 @@ def test_euler_characteristic_matches_alexander():
 
 def test_graded_matrix_shape():
     sc = staircase(5, 8)
-    mat = _even_basis_matrix(sc, keep_lower=False)
-    assert len(mat) == len(sc.gaps) + 1 and len(mat[0]) == len(sc.gaps)
+    d = differential(sc)
+    m = len(sc.gaps)
+    graded = _even_basis_matrix(sc, d, graded=True)
+    full = _even_basis_matrix(sc, d, graded=False)
+    assert len(graded) == len(full) == m + 1 and len(graded[0]) == len(full[0]) == m
+    # the associated graded keeps exactly the U^{g_i} x_{2i} branch
+    for i in range(m + 1):
+        for j in range(m):
+            upper = 1 << sc.gaps[j] if i == j else 0
+            assert graded[i][j] == upper
+            assert full[i][j] == upper | (1 if i == j + 1 else 0)
 
 
 # ---- matching
