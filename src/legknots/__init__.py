@@ -14,7 +14,6 @@ from .cf import (
     TorusKnotParams,
     VerificationError,
     complementary_expansions,
-    eval_neg_cf,
     honda_count,
     neg_cf,
     torus_knot_params,
@@ -42,7 +41,6 @@ __all__ = [
     "classify_level",
     "complementary_expansions",
     "enumerate_presentations",
-    "eval_neg_cf",
     "hfk_minus",
     "honda_count",
     "match_invariants",

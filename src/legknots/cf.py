@@ -25,6 +25,8 @@ class VerificationError(Exception):
 
 # ---- negative continued fractions
 
+MAX_ENTRIES = 10**4  # longest expansion neg_cf builds; num/(num-1) has num - 1 entries
+
 
 def neg_cf(num: int, den: int) -> tuple[int, ...]:
     """Negative continued fraction of num/den, all entries >= 2.
@@ -39,20 +41,12 @@ def neg_cf(num: int, den: int) -> tuple[int, ...]:
     while den:
         a = -(-num // den)  # ceil(num/den)
         out.append(a)
+        if len(out) > MAX_ENTRIES:
+            raise ValueError(f"expansion longer than {MAX_ENTRIES} entries")
         num, den = den, a * den - num
     if any(a < 2 for a in out):
         raise VerificationError(f"entry below 2 in the expansion {out}")
     return tuple(out)
-
-
-def eval_neg_cf(entries) -> Fraction:
-    """Evaluate [a0, ..., as] = a0 - 1/(a1 - ...) exactly."""
-    if not entries:
-        raise ValueError("empty continued fraction")
-    x = Fraction(entries[-1])
-    for a in entries[-2::-1]:
-        x = a - 1 / x
-    return x
 
 
 def _continuant(entries) -> tuple[int, int]:

@@ -243,8 +243,7 @@ def check_randomized_properties():
         if den == 1 and num > 2:
             den = num - 1
         entries = cf.neg_cf(num, den)
-        value = cf.eval_neg_cf(entries)
-        if (value.numerator, value.denominator) != (num, den):
+        if cf._continuant(entries) != (num, den):
             return False, f"roundtrip failed for {num}/{den}: {entries}"
         executed += 1
 

@@ -15,7 +15,6 @@ from . import __version__
 from .cf import (
     VerificationError,
     complementary_expansions,
-    eval_neg_cf,
     honda_count,
     neg_cf,
     torus_knot_params,
@@ -63,9 +62,8 @@ def _format_class(index: int, cls) -> str:
 
 def cmd_cf(args) -> int:
     entries = neg_cf(args.num, args.den)
-    value = eval_neg_cf(entries)
     payload = {"num": args.num, "den": args.den, "entries": list(entries)}
-    lines = [f"{value.numerator}/{value.denominator} = {list(entries)}"]
+    lines = [f"{args.num}/{args.den} = {list(entries)}"]
     _emit(args, payload, lines)
     return 0
 

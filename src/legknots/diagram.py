@@ -106,23 +106,6 @@ class Presentation:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    @staticmethod
-    def from_json(text: str) -> "Presentation":
-        data = json.loads(text)
-        pres = Presentation(
-            int(data["p"]),
-            int(data["q"]),
-            tuple(int(r) for r in data["chains"][0]["rot"]),
-            tuple(int(r) for r in data["chains"][1]["rot"]),
-            int(data.get("stab_pos", 0)),
-            int(data.get("stab_neg", 0)),
-        )
-        validate_presentation(pres)
-        stored = tuple(tuple(chain["tb"]) for chain in data["chains"])
-        if stored != chains_for(pres.p, pres.q):
-            raise ValueError("tb entries do not match the (p, q) chain shape")
-        return pres
-
 
 @functools.lru_cache(maxsize=None)
 def chains_for(p: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

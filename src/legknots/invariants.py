@@ -18,9 +18,13 @@ products:
     d3  = (<r, Q^{-1} r> - 3 sig(Q) - 2 chi) / 4 + #(+1 surgeries)
 
 where r is the vector of curve rotation numbers, chi = 1 + #curves,
-tb_0 = -1 - level and rot_0 = stab_pos - stab_neg.  The kernel is built
-with exact Fraction solves and checks its tb against the determinant ratio
-det(Q_0) / det(Q) (Q_0: extend Q by L with a 0 slot), an independent route.
+tb_0 = -1 - level and rot_0 = stab_pos - stab_neg.  One integer pass
+(linalg.adjugate) gives Q^{-1} = det(Q) adj(Q) and the leading minors D_k,
+so sig(Q) = m - 2 * #(sign changes along 1, D_1, ..., D_m) (Jacobi).  With
+the chains first no D_k is 0: the chain block is negative definite, the
+first (+1)-curve borders it with a nonzero column, and D_m = det Q = +-1.
+The kernel checks its tb against the determinant ratio det(Q_0) / det(Q)
+(Q_0: extend Q by L with a 0 slot), an independent route.
 The d3 we report is normalized by +1/2, making it 0 on the standard tight
 3-sphere.  For the d3 of contact (-1)-surgery on L, the extended matrix
 E = [[Q, lk], [lk^T, -2 - level]] is handled through the Schur complement
@@ -32,9 +36,9 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import complementary_expansions, eval_neg_cf, merged_lens_entries, torus_knot_params
+from .cf import _continuant, complementary_expansions, merged_lens_entries, torus_knot_params
 from .diagram import Presentation, chains_for
-from .linalg import det_bareiss, signature_symmetric, solve_fraction
+from .linalg import adjugate, det_bareiss
 
 
 # ---- the linking matrix
@@ -95,17 +99,17 @@ class _Kernel:
 def _kernel(p: int, q: int) -> _Kernel:
     """The constants shared by every presentation of T(p, -q), checked."""
     mat, lk = _linking(p, q)
-    m = len(mat)
-    columns = [solve_fraction(mat, [int(i == j) for i in range(m)]) for j in range(m)]
-    if any(x.denominator != 1 for col in columns for x in col):
+    det, adj, minors = adjugate(mat)
+    if abs(det) != 1:
         raise ArithmeticError(f"non-integral inverse linking matrix for T({p}, -{q})")
-    inverse = tuple(tuple(int(col[i]) for col in columns) for i in range(m))
+    inverse = tuple(tuple(det * x for x in row) for row in adj)
     w = tuple(_dot(row, lk) for row in inverse)
     lk_norm = _dot(lk, w)
     # det(Q_0) = -det(Q) * lk^T Q^{-1} lk: the determinant-ratio tb formula
     if det_bareiss(_bordered(mat, lk, 0)) != -lk_norm * det_bareiss(mat):
         raise ArithmeticError(f"tb from Q^-1 disagrees with the determinant ratio for T({p}, -{q})")
-    return _Kernel(inverse, w, lk_norm, signature_symmetric(mat))
+    negative = sum(a * b < 0 for a, b in zip((1,) + minors, minors))
+    return _Kernel(inverse, w, lk_norm, len(mat) - 2 * negative)
 
 
 def _four_d3(r_norm, sigma: int, curves: int):
@@ -167,22 +171,19 @@ class ClassicalInvariants:
         return {"tb": self.tb, "rot": self.rot, "d3": self.d3, "A": self.alexander, "M": self.maslov}
 
 
-def bigrading(tb: int, rot: int, d3: int) -> tuple:
-    """(A, M) = ((tb - rot + 1)/2, 2A - d3); exact, ints when integral."""
+def bigrading(tb: int, rot: int, d3: int) -> tuple[int, int]:
+    """(A, M) = ((tb - rot + 1)/2, 2A - d3); tb - rot must be odd."""
     twice = tb - rot + 1
-    if twice % 2 == 0:
-        return twice // 2, twice - d3
-    return Fraction(twice, 2), Fraction(twice - d3)
+    if twice % 2:
+        raise ArithmeticError(f"tb - rot = {tb - rot} is even")
+    return twice // 2, twice - d3
 
 
 def classical_invariants(pres: Presentation) -> ClassicalInvariants:
     tb = compute_tb(pres)
     rot = compute_rot(pres)
     d3 = compute_d3(pres)
-    alex, maslov = bigrading(tb, rot, d3)
-    if not isinstance(alex, int):
-        raise ArithmeticError(f"tb - rot even for {pres}")
-    return ClassicalInvariants(tb, rot, d3, alex, maslov)
+    return ClassicalInvariants(tb, rot, d3, *bigrading(tb, rot, d3))
 
 
 # ---- smooth-topology oracle
@@ -205,12 +206,11 @@ def validate_smooth_topology(pres: Presentation) -> dict:
     if pres.level == 0:
         h1 = abs(det_bareiss(_bordered(mat, lk, -2)))
         u = p * q + 1
-        value = eval_neg_cf(merged_lens_entries(*complementary_expansions(torus_knot_params(p, q))))
+        num, den = _continuant(merged_lens_entries(*complementary_expansions(torus_knot_params(p, q))))
         v_expect = p * p % u
         report["surgered_h1"] = h1
-        report["lens"] = (value.numerator, value.denominator)
-        ok = ok and h1 == u and value.numerator == u
-        ok = ok and value.denominator in (v_expect, pow(v_expect, -1, u))
+        report["lens"] = (num, den)
+        ok = ok and h1 == u and num == u and den in (v_expect, pow(v_expect, -1, u))
     report["ok"] = ok
     return report
 

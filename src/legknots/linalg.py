@@ -1,12 +1,11 @@
-"""Small exact linear-algebra helpers (integer determinants, Fraction solves).
+"""Exact integer linear algebra: two fraction-free eliminations.
 
 numpy is deliberately not used: every quantity downstream (framings, rotation
-numbers, d3 terms) must stay exact, and the matrices involved are tiny.  The
-invariants layer calls these once per knot, to build and check its integer
-kernel; the tests use them as the per-presentation oracle.
+numbers, d3 terms) must stay exact, and the matrices involved are tiny.
+``adjugate`` builds each knot's invariant kernel in one integer pass;
+``det_bareiss`` (with pivoting) is the independent route that checks it.
+The Fraction routines the tests compare against live in the tests.
 """
-
-from fractions import Fraction
 
 
 def det_bareiss(mat) -> int:
@@ -37,63 +36,29 @@ def det_bareiss(mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def solve_fraction(mat, rhs) -> list[Fraction]:
-    """Solve mat @ x == rhs exactly by Gauss-Jordan elimination."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(mat, rhs)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [a[i][n] for i in range(n)]
+def adjugate(mat) -> tuple[int, list[list[int]], tuple[int, ...]]:
+    """(det, adj, (D_1, ..., D_n)) of a square integer matrix, D_k its k-th
+    leading principal minor, so that mat @ adj == det * I.
 
-
-def signature_symmetric(mat) -> int:
-    """Signature (#positive - #negative eigenvalues) of a symmetric matrix.
-
-    Works by congruence diagonalization over the rationals, which preserves
-    the signature; zero diagonals with a nonzero row use the hyperbolic-pair
-    trick (add the partner row/column to create a usable pivot).
+    Fraction-free Gauss-Jordan on [mat | I] without pivoting (Bareiss 1968):
+    the k-th pivot is D_k, every division is exact, and the left block ends
+    as D_n * I with adj on the right.  A zero pivot raises ArithmeticError.
     """
     n = len(mat)
-    a = [[Fraction(mat[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i):
-            if a[i][j] != a[j][i]:
-                raise ValueError("matrix must be symmetric")
-    idx = list(range(n))
-    sig = 0
-    while idx:
-        piv = next((i for i in idx if a[i][i] != 0), None)
-        if piv is None:
-            pair = next(
-                ((i, j) for i in idx for j in idx if j > i and a[i][j] != 0),
-                None,
-            )
-            if pair is None:
-                break  # remaining block is zero
-            i, j = pair
-            for t in range(n):
-                a[i][t] += a[j][t]
-            for t in range(n):
-                a[t][i] += a[t][j]
-            continue
-        d = a[piv][piv]
-        sig += 1 if d > 0 else -1
-        idx.remove(piv)
-        for i in idx:
-            f = a[i][piv] / d
-            if f == 0:
-                continue
-            for t in range(n):
-                a[i][t] -= f * a[piv][t]
-            for t in range(n):
-                a[t][i] -= f * a[t][piv]
-    return sig
+    if any(len(row) != n for row in mat):
+        raise ValueError("matrix must be square")
+    a = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    minors = []
+    prev = 1
+    for k in range(n):
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        if pivot == 0:
+            raise ArithmeticError(f"leading minor D_{k + 1} is zero")
+        for i in range(n):
+            f = a[i][k]
+            if i != k:
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        minors.append(pivot)
+        prev = pivot
+    return prev, [row[n:] for row in a], tuple(minors)

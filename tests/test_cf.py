@@ -6,14 +6,15 @@ from fractions import Fraction
 import pytest
 
 from legknots.cf import (
+    MAX_ENTRIES,
     VerificationError,
     complementary_expansions,
-    eval_neg_cf,
     honda_count,
     merged_lens_entries,
     neg_cf,
     torus_knot_params,
 )
+from oracles import eval_neg_cf
 
 
 # ---- expansion and evaluation
@@ -42,6 +43,13 @@ def test_neg_cf_rejects_bad_input():
         neg_cf(3, 7)
     with pytest.raises(ValueError):
         neg_cf(4, 0)
+
+
+def test_neg_cf_length_cap():
+    # n/(n-1) expands to n - 1 twos
+    assert neg_cf(MAX_ENTRIES + 1, MAX_ENTRIES) == (2,) * MAX_ENTRIES
+    with pytest.raises(ValueError):
+        neg_cf(MAX_ENTRIES + 2, MAX_ENTRIES + 1)
 
 
 def test_eval_neg_cf_examples():

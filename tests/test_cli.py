@@ -151,6 +151,13 @@ def test_negative_level_exits_2(capsys, command):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_overlong_cf_exits_2(capsys):
+    # 10^8/(10^8 - 1) has 10^8 - 1 entries; the expansion stops at cf.MAX_ENTRIES
+    code, out, err = run(capsys, "cf", "100000000", "99999999")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["enumerate", "classify"])
 def test_oversized_level_exits_2(capsys, command):
     code, out, err = run(capsys, command, "2", "3", "--level", "100000000")

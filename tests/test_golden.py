@@ -34,7 +34,6 @@ PUBLIC_NAMES = [
     "classify_level",
     "complementary_expansions",
     "enumerate_presentations",
-    "eval_neg_cf",
     "hfk_minus",
     "honda_count",
     "match_invariants",

@@ -1,11 +1,12 @@
-"""Integer determinants, exact solves, symmetric signatures."""
+"""Integer determinants and adjugates, and the Fraction oracles behind them."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from legknots.linalg import det_bareiss, signature_symmetric, solve_fraction
+from legknots.linalg import adjugate, det_bareiss
+from oracles import signature_symmetric, solve_fraction
 
 
 def _det_gauss(matrix):
@@ -47,6 +48,40 @@ def test_det_matches_gaussian_oracle():
         for _ in range(30):
             m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
             assert det_bareiss(m) == _det_gauss(m)
+
+
+def _leading_minors(m):
+    return [det_bareiss([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
+
+
+def test_adjugate_small_cases():
+    assert adjugate([]) == (1, [], ())
+    assert adjugate([[5]]) == (5, [[1]], (5,))
+    assert adjugate([[1, 2], [3, 4]]) == (-2, [[4, -2], [-3, 1]], (1, -2))
+
+
+def test_adjugate_matches_fraction_oracle():
+    rng = random.Random(13)
+    checked = 0
+    while checked < 150:
+        n = rng.randint(1, 6)
+        m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        minors = _leading_minors(m)
+        if 0 in minors:
+            continue
+        det, adj, got = adjugate(m)
+        assert det == minors[-1] and list(got) == minors
+        for j in range(n):
+            unit = [int(i == j) for i in range(n)]
+            assert [det * x for x in solve_fraction(m, unit)] == [row[j] for row in adj]
+        checked += 1
+
+
+def test_adjugate_zero_leading_minor_raises():
+    with pytest.raises(ArithmeticError):
+        adjugate([[0, 1], [1, 0]])
+    with pytest.raises(ArithmeticError):
+        adjugate([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
 
 
 def test_solve_fraction():

@@ -1,5 +1,5 @@
-"""Property tests over random valid presentations (pq <= 60, levels 0-3),
-and over the exit codes of the knot subcommands."""
+"""Property tests over random valid presentations (levels 0-3), and over the
+exit codes of the knot subcommands."""
 
 import contextlib
 import io
@@ -13,16 +13,22 @@ from hypothesis import strategies as st  # noqa: E402
 
 from legknots.cli import main  # noqa: E402
 from legknots.diagram import Presentation, chains_for, rotation_range  # noqa: E402
-from legknots.invariants import classical_invariants  # noqa: E402
+from legknots.invariants import classical_invariants, d3_surgered  # noqa: E402
+from oracles import invariants_oracle  # noqa: E402
 
-PAIRS = [
-    (p, q) for q in range(3, 31) for p in range(2, q) if p * q <= 60 and math.gcd(p, q) == 1
-]
+
+def _pairs(max_product):
+    return [
+        (p, q)
+        for q in range(3, max_product // 2 + 1)
+        for p in range(2, q)
+        if p * q <= max_product and math.gcd(p, q) == 1
+    ]
 
 
 @st.composite
-def presentations(draw):
-    p, q = draw(st.sampled_from(PAIRS))
+def presentations(draw, pairs=_pairs(60)):
+    p, q = draw(st.sampled_from(pairs))
     level = draw(st.integers(0, 3))
     pos = draw(st.integers(0, level))
     tbs1, tbs2 = chains_for(p, q)
@@ -33,16 +39,19 @@ def presentations(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(presentations())
-def test_json_roundtrip(pres):
-    assert Presentation.from_json(pres.to_json()) == pres
-
-
-@settings(max_examples=200, deadline=None)
-@given(presentations())
 def test_conjugation_symmetry(pres):
     a = classical_invariants(pres)
     b = classical_invariants(pres.conjugate())
     assert (b.tb, b.rot, b.d3) == (a.tb, -a.rot, a.d3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentations(_pairs(200)))
+def test_kernel_matches_fraction_oracle(pres):
+    tb, rot, d3, surgered = invariants_oracle(pres)
+    inv = classical_invariants(pres)
+    assert (inv.tb, inv.rot, inv.d3) == (tb, rot, d3)
+    assert d3_surgered(pres) == surgered
 
 
 @settings(max_examples=150, deadline=None)
