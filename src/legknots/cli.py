@@ -7,9 +7,10 @@ Output is deterministic (sorted keys, fixed iteration orders).  Exit codes:
 """
 
 import argparse
-import json
+import functools
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .cf import (
@@ -26,15 +27,84 @@ from .floer import hfk_minus, match_invariants
 from .invariants import classical_invariants
 from .lens import surjectivity_check
 
+_INFINITY = float("inf")
 
-def _json_default(value):
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    raise TypeError(f"not JSON serializable: {value!r}")
+
+def _float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# JSON text of each scalar type; a Fraction is the string "n/d".  bool comes
+# before its base class int for the isinstance scan of _render_into.
+_SCALARS = {
+    bool: {True: "true", False: "false"}.__getitem__,
+    str: _quote,
+    int: int.__repr__,
+    type(None): lambda _: "null",
+    float: _float,
+    Fraction: lambda value: f'"{value.numerator}/{value.denominator}"',
+}
+
+
+def _render_into(pieces: list, value, newline: str) -> None:
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            pieces.append("{}")
+            return
+        opening = "{"
+        for key in sorted(value):
+            item = value[key]
+            encode = _SCALARS.get(type(item))
+            if encode is None:
+                pieces.append(f"{opening}{inner}{_quote(key)}: ")
+                _render_into(pieces, item, inner)
+            else:
+                pieces.append(f"{opening}{inner}{_quote(key)}: {encode(item)}")
+            opening = ","
+        pieces.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            pieces.append("[]")
+            return
+        opening = "["
+        for item in value:
+            encode = _SCALARS.get(type(item))
+            if encode is None:
+                pieces.append(opening + inner)
+                _render_into(pieces, item, inner)
+            else:
+                pieces.append(f"{opening}{inner}{encode(item)}")
+            opening = ","
+        pieces.append(newline + "]")
+    else:  # a scalar at the top, or a subclass of a scalar type
+        for kind, encode in _SCALARS.items():
+            if isinstance(value, kind):
+                pieces.append(encode(value))
+                return
+        raise TypeError(f"not JSON serializable: {value!r}")
+
+
+def _render(payload) -> str:
+    """The bytes of json.dumps(payload, indent=2, sort_keys=True), with each
+    Fraction as the string "n/d", built in one pass; dict keys must be
+    strings.  With ``indent`` set, CPython's json falls back to its
+    pure-Python encoder, which is about twice as slow."""
+    pieces: list = []
+    _render_into(pieces, payload, "\n")
+    return "".join(pieces)
 
 
 def _emit(args, payload, lines) -> None:
-    rendered = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    """Write the JSON payload to --out, then print it (--json) or the text
+    report; the JSON is rendered only when one of them uses it."""
+    rendered = _render(payload) if args.json or args.out else None
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(rendered + "\n")
@@ -193,19 +263,19 @@ def cmd_verify(args) -> int:
     results = run_all(args.only or None)
     payload = [{"name": name, "ok": ok, "detail": detail} for name, ok, detail in results]
     failed = [name for name, ok, _ in results if not ok]
-    if args.json or args.out:
-        _emit(args, payload, [])
-    if not args.json and not args.quiet:
-        for name, ok, detail in results:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name} - {detail}")
-        print(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    lines = [f"[{'PASS' if ok else 'FAIL'}] {name} - {detail}" for name, ok, detail in results]
+    lines.append(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    _emit(args, payload, lines)
     return 1 if failed else 0
 
 
 # ---- parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the program, built on first use and shared by every
+    later ``main`` call; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="legknots",
         description="Legendrian and transverse negative torus knots: presentations, "

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from legknots import checks
+from legknots import checks, cli
 from legknots.cli import main
 
 
@@ -208,3 +208,41 @@ def test_crashing_check_is_one_fail_line(capsys, monkeypatch):
     assert code == 1
     assert "[FAIL] t58-locations - RuntimeError: boom" in out
     assert f"{len(stubbed) - 1}/{len(stubbed)} checks passed" in out
+
+
+def test_verify_text_report_unchanged_by_out(capsys, tmp_path):
+    target = tmp_path / "v.json"
+    _, plain, _ = run(capsys, "verify", "--only", "smooth-topology")
+    code, mirrored, _ = run(capsys, "verify", "--only", "smooth-topology", "--out", str(target))
+    assert code == 0 and mirrored == plain
+    assert mirrored.startswith("[PASS] smooth-topology")
+    assert [entry["name"] for entry in json.loads(target.read_text())] == ["smooth-topology"]
+
+
+@pytest.mark.parametrize("mode", [[], ["--quiet"]])
+def test_json_is_not_rendered_when_unused(capsys, monkeypatch, mode):
+    def refuse(payload):
+        raise AssertionError("JSON rendered but not used")
+
+    monkeypatch.setattr(cli, "_render", refuse)
+    code, out, _ = run(capsys, "classify", "3", "5", "--level", "2", *mode)
+    assert code == 0
+    assert (out == "") == bool(mode)
+
+
+def test_parser_reuse_keeps_no_state(capsys):
+    """The parser is built once; parse results must not leak between calls."""
+    for check in ("smooth-topology", "t58-locations"):
+        code, out, _ = run(capsys, "verify", "--only", check, "--json")
+        assert code == 0
+        assert [entry["name"] for entry in json.loads(out)] == [check]
+    run(capsys, "classify", "3", "5", "--level", "3", "--json")
+    _, out, _ = run(capsys, "classify", "3", "5", "--json")
+    assert json.loads(out)["level"] == 1
+    _, before, _ = run(capsys, "enumerate", "2", "3", "--level", "1", "--json")
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "2", "--level", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    _, after, _ = run(capsys, "enumerate", "2", "3", "--level", "1", "--json")
+    assert after == before

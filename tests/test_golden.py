@@ -18,6 +18,8 @@ JSON_DIGESTS = {
     ("transverse", "5", "8"): "95425b5092c8dad310fd834cda84b61f29fb1449bf5bb530338a608f98b6a237",
     ("hfk", "5", "8"): "9cad1cb65ded338a730b8611879e7f988bd1fec9065beaa07e47734074499612",
     ("lens", "3", "4"): "5d4f8f42d4abe9f98d62e45fd272d65b7df7ce8ccf91b537ae9f4456532a832c",
+    ("match", "5", "8"): "57853dea61e822b70b3cb7027cb5fa5739bcf76d8ba72104640d08855c7963f0",
+    ("cf", "17", "5"): "991282775448a737d3ceaaa58291d0e3459a158fc7fdcf6db9a0a58cf935f4b3",
 }
 
 PUBLIC_NAMES = [
@@ -50,6 +52,13 @@ def test_json_stdout_digest(capsys, argv):
     assert main([*argv, "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == JSON_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(JSON_DIGESTS), ids=" ".join)
+def test_out_file_equals_json_stdout(capsys, tmp_path, argv):
+    target = tmp_path / "payload.json"
+    assert main([*argv, "--json", "--out", str(target)]) == 0
+    assert target.read_bytes() == capsys.readouterr().out.encode()
 
 
 def test_public_names():

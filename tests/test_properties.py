@@ -1,17 +1,20 @@
-"""Property tests over random valid presentations (levels 0-3), and over the
-exit codes of the knot subcommands."""
+"""Property tests over random valid presentations (levels 0-3), over the
+exit codes of the knot subcommands, and of the CLI's JSON renderer against
+json.dumps."""
 
 import contextlib
 import io
+import json
 import math
+from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from legknots.cli import main  # noqa: E402
+from legknots.cli import _render, main  # noqa: E402
 from legknots.diagram import Presentation, chains_for, rotation_range  # noqa: E402
 from legknots.invariants import classical_invariants, d3_surgered  # noqa: E402
 from oracles import invariants_oracle  # noqa: E402
@@ -68,3 +71,41 @@ def test_knot_commands_exit_0_or_2(command, p, q):
     if code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def _fraction_as_string(value):
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    raise TypeError(value)
+
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**80), 2**80)
+    | st.floats(allow_nan=False)
+    | st.text(st.characters(codec="utf-8"))
+    | st.fractions()
+)
+_json_payloads = st.recursive(
+    _json_scalars,
+    lambda children: st.lists(children, max_size=10)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(st.characters(codec="utf-8"), max_size=6), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_json_payloads)
+@example([[], {}, (), {"": None}])
+@example([float("nan"), float("inf"), -float("inf"), -(2**70), Fraction(-5, 2)])
+@example({"\x00\u00e9\n": "\x1f\U0001f600"})
+def test_render_matches_json_dumps(payload):
+    expected = json.dumps(payload, indent=2, sort_keys=True, default=_fraction_as_string)
+    assert _render(payload) == expected
+
+
+def test_render_refuses_unsupported_types():
+    with pytest.raises(TypeError):
+        _render({"members": {1, 2}})
