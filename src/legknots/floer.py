@@ -19,10 +19,14 @@ the homology splits into towers
 
 The differential is written once, as sparse columns whose entries are
 monomials U^k (bitmasks 1 << k).  d^2 = 0 is checked on those columns: a
-product of monomials is a shift.  Every matrix read from it is graded, so
-its Smith normal form is a least-degree elimination: the pivot of least
-degree divides every other entry, its column is cleared with row operations
-(entries stay monomials, or cancel), and the pivots come out in
+product of monomials is a shift.  The Smith normal form takes those columns
+as its sparse rows, never a dense copy: read that way they are the
+transpose of the presentation matrix (odd generators) -> (even-generator
+span), and a matrix and its transpose have the same invariant factors.  The
+associated-graded matrix keeps the A-preserving entries of each column.
+Both are graded, so the Smith form is a least-degree elimination: the pivot
+of least degree divides every other entry, its column is cleared with row
+operations (entries stay monomials, or cancel), and the pivots come out in
 divisibility order.
 
 Three independent computations of the finite tower orders are compared:
@@ -43,8 +47,9 @@ from .classify import transverse_classes
 # ---- Alexander polynomial
 
 # Upper bound on p * q for the Floer layer: the staircase has about pq/2
-# generators.  The largest pairs the benchmark pool and the checks use have
-# pq <= 2000, and deep-knots matches have q <= 60.
+# generators.  The benchmark pool's largest pair has pq = 1974 and
+# deep-knots matches have q <= 60; the cap itself, T(2, 4999), costs about
+# 40 ms and 4 MiB on a 2-CPU x86-64 host.
 MAX_PQ = 10**4
 
 
@@ -143,39 +148,32 @@ def squares_to_zero(d: dict[int, dict[int, int]]) -> bool:
     return True
 
 
-def _even_basis_matrix(
-    complex_: StaircaseComplex, d: dict[int, dict[int, int]], graded: bool
-) -> list[list[int]]:
-    """The differential d as a map (odd generators) -> (even-generator span).
-
-    Both differential branches land on even generators, so this matrix
-    presents the homology: rows x_0, x_2, ..., x_{2m}, one column per
-    x_{2i+1}.  With graded=True only the terms a x_r of d(x_c) with
-    A(x_r) - deg a = A(x_c) are kept: the A-associated-graded differential.
-    """
+def _associated_graded(
+    complex_: StaircaseComplex, d: dict[int, dict[int, int]]
+) -> list[dict[int, int]]:
+    """The columns of d as sparse rows, keeping the terms a x_r of d(x_c) with
+    A(x_r) - deg a = A(x_c): the A-associated-graded differential."""
     alexander = [a for a, _ in complex_.gradings]
-    columns = sorted(d)
-    mat = [[0] * len(columns) for _ in range(len(alexander) // 2 + 1)]
-    for j, c in enumerate(columns):
-        for r, entry in d[c].items():
-            if not graded or alexander[r] - (entry.bit_length() - 1) == alexander[c]:
-                mat[r // 2][j] = entry
-    return mat
+    return [
+        {r: e for r, e in column.items() if alexander[r] - e.bit_length() + 1 == alexander[c]}
+        for c, column in d.items()
+    ]
 
 
-def smith_invariant_factors(mat: list[list[int]]) -> list[int]:
-    """Invariant factors of a graded matrix over F_2[U] with monomial entries
-    (bitmasks 1 << k), each dividing the next; the list length is the rank.
+def smith_invariant_factors(mat: list[dict[int, int]]) -> list[int]:
+    """Invariant factors of a graded matrix over F_2[U] given as sparse rows
+    {column: U^k as the bitmask 1 << k}, each dividing the next; the list
+    length is the rank.  Absent and zero entries are zero.
 
-    Least-degree elimination on sparse rows of exponents: the pivot divides
+    Least-degree elimination on the rows' exponents: the pivot divides
     every other entry, so clearing its column with row operations and then
     dropping its row and column leaves a matrix of the same kind.  A
     non-monomial entry, or a row operation that would make one (the matrix
     is not graded), raises VerificationError.
     """
-    if any(entry & (entry - 1) for row in mat for entry in row):
+    if any(entry & (entry - 1) for row in mat for entry in row.values()):
         raise VerificationError("matrix entry is not a monomial")
-    rows = {i: {j: e.bit_length() - 1 for j, e in enumerate(row) if e} for i, row in enumerate(mat)}
+    rows = {i: {j: e.bit_length() - 1 for j, e in row.items() if e} for i, row in enumerate(mat)}
     heap = [(k, i, j) for i, row in rows.items() for j, k in row.items()]
     cols: dict[int, set[int]] = {}
     for _, i, j in heap:
@@ -280,7 +278,7 @@ def hfk_minus(p: int, q: int) -> GradedModule:
     towers.append(Tower(None, *complex_.gradings[-1]))
     module = GradedModule(tuple(towers))
 
-    graded_factors = smith_invariant_factors(_even_basis_matrix(complex_, d, graded=True))
+    graded_factors = smith_invariant_factors(_associated_graded(complex_, d))
     if len(graded_factors) != len(complex_.gaps):
         raise VerificationError("graded differential has unexpected rank")
     snf_orders = tuple(sorted(f.bit_length() - 1 for f in graded_factors))
@@ -291,13 +289,11 @@ def hfk_minus(p: int, q: int) -> GradedModule:
             f"closed form {closed_form_orders(p, q)}"
         )
 
-    # The kernel is exactly the even-generator span as soon as the
-    # differential has full rank on the odd generators, and the image lies
-    # inside that span, so the even-basis matrix presents the homology: it
-    # must reduce to one free summand and no torsion -- the Floer homology
-    # of the sphere.  (Its columns are the columns of d, so full rank here
-    # is full rank of d.)
-    full_factors = smith_invariant_factors(_even_basis_matrix(complex_, d, graded=False))
+    # Both branches of d land on even generators, so as soon as d has full
+    # rank on the odd generators the kernel is the even-generator span and
+    # the image lies inside it: d presents the homology, and must reduce to
+    # one free summand and no torsion -- the Floer homology of the sphere.
+    full_factors = smith_invariant_factors(list(d.values()))
     if len(full_factors) != len(complex_.gaps) or any(f != 1 for f in full_factors):
         raise VerificationError("full complex is not the homology of the sphere")
 

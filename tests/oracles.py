@@ -1,7 +1,8 @@
-"""Exact Fraction oracles the tests compare the integer runtime against.
+"""Exact oracles the tests compare the runtime against.
 
 None of these is on the runtime path: the library computes the same facts
-with integer eliminations and continuants.
+with integer eliminations and continuants, and reads the Floer tower
+bottoms off the staircase where the oracle here takes ranks over F_2.
 """
 
 from fractions import Fraction
@@ -103,3 +104,51 @@ def invariants_oracle(pres):
     d3 = _d3_terms(mat, r) + Fraction(1, 2)
     surgered = _d3_terms(bordered(-2 - pres.level), r + [rot0])
     return tb, rot, d3, surgered
+
+
+def _f2_rank(rows: list[int]) -> int:
+    """Rank over F_2 of the rows, each a bitmask of its nonzero columns."""
+    basis: list[int] = []
+    for row in rows:
+        for b in basis:
+            row = min(row, row ^ b)  # clears b's leading bit if row has it
+        if row:
+            basis.append(row)
+    return len(basis)
+
+
+def bigraded_homology_dims(gradings, d) -> dict[tuple[int, int], int]:
+    """F_2-dimension of the homology of the A-associated-graded complex in
+    each bidegree (A, M) with A >= the least Alexander grading -g.
+
+    The complex over F_2[U] on generators x_i at gradings[i] = (A_i, M_i),
+    with differential d as sparse columns {x_r: U^k as 1 << k}, is expanded
+    into F_2-vector spaces with basis U^k x_i at (A_i - k, M_i - 2k).  The
+    associated graded keeps the terms a x_r of d(x_c) with
+    A(x_r) - deg a = A(x_c); each bidegree is finite-dimensional because k
+    is fixed by A.  Only nonzero dimensions are returned.
+    """
+    floor = min(a for a, _ in gradings)
+    basis: dict[tuple[int, int], list[int]] = {}
+    for i, (a, m) in enumerate(gradings):
+        for k in range(a - floor + 1):
+            basis.setdefault((a - k, m - 2 * k), []).append(i)
+
+    def outgoing_rank(bidegree):
+        rows = []
+        for c in basis.get(bidegree, ()):
+            row = 0
+            for r, entry in d.get(c, {}).items():
+                deg = entry.bit_length() - 1
+                if gradings[r][0] - deg == gradings[c][0]:
+                    assert gradings[r][1] - 2 * deg == gradings[c][1] - 1, "d must drop M by 1"
+                    row ^= 1 << r
+            rows.append(row)
+        return _f2_rank(rows)
+
+    dims = {}
+    for (a, m), gens in basis.items():
+        dim = len(gens) - outgoing_rank((a, m)) - outgoing_rank((a, m + 1))
+        if dim:
+            dims[a, m] = dim
+    return dims

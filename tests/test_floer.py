@@ -1,16 +1,18 @@
 """Staircase complexes, tower decompositions, invariant matching."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legknots import floer
 from legknots.cf import VerificationError
 from legknots.floer import (
     MAX_PQ,
     Tower,
-    _even_basis_matrix,
+    _associated_graded,
     alexander_exponents,
     closed_form_orders,
     differential,
@@ -21,6 +23,7 @@ from legknots.floer import (
     squares_to_zero,
     staircase,
 )
+from oracles import bigraded_homology_dims
 
 # ---- oracle: dense Smith normal form over F_2[U] (bitmask encoding, bit k = U^k)
 
@@ -110,6 +113,24 @@ def dense_smith(mat: list[list[int]]) -> list[int]:
         factors.append(a[t][t])
         t += 1
     return factors
+
+
+def _sparse(mat: list[list[int]]) -> list[dict[int, int]]:
+    """A dense matrix as the sparse rows smith_invariant_factors takes."""
+    return [{j: e for j, e in enumerate(row) if e} for row in mat]
+
+
+def _presentation(sc, graded: bool) -> list[list[int]]:
+    """The dense (m+1) x m map (odd generators) -> (even-generator span),
+    rows x_0, x_2, ..., x_{2m}; with graded=True only the A-preserving terms."""
+    alexander = [a for a, _ in sc.gradings]
+    d = differential(sc)
+    mat = [[0] * len(d) for _ in range(len(d) + 1)]
+    for j, c in enumerate(sorted(d)):
+        for r, entry in d[c].items():
+            if not graded or alexander[r] - (entry.bit_length() - 1) == alexander[c]:
+                mat[r // 2][j] = entry
+    return mat
 
 
 # ---- Alexander polynomial
@@ -217,29 +238,36 @@ def test_poly_divmod():
 
 
 def test_smith_diagonal():
-    factors = smith_invariant_factors([[1 << 2, 0], [0, 1 << 3]])
+    factors = smith_invariant_factors(_sparse([[1 << 2, 0], [0, 1 << 3]]))
     assert sorted(f.bit_length() - 1 for f in factors) == [2, 3]
+
+
+def test_smith_explicit_zero_and_empty_row():
+    # an entry given as 0 is a zero entry, not U^-1
+    assert smith_invariant_factors([{0: 1 << 2, 1: 0}, {1: 1 << 3}]) == [1 << 2, 1 << 3]
+    mat = [[0, 0], [0b10, 1 << 3]]
+    assert smith_invariant_factors([{}, {0: 0b10, 1: 1 << 3}]) == dense_smith(mat) == [0b10]
 
 
 def test_smith_preserves_divisibility_chain():
     mat = [[0b10, 0], [1, 0b1000]]
-    factors = smith_invariant_factors(mat)
+    factors = smith_invariant_factors(_sparse(mat))
     assert factors == dense_smith(mat) == [1, 0b10000]
     for first, second in zip(factors, factors[1:]):
         assert poly_divmod(second, first)[1] == 0
 
 
 def test_smith_unit_row():
-    assert smith_invariant_factors([[1, 1 << 4]]) == [1]
-    assert smith_invariant_factors([[0, 0], [0, 0]]) == []
-    assert smith_invariant_factors([]) == []
+    assert smith_invariant_factors(_sparse([[1, 1 << 4]])) == [1]
+    assert smith_invariant_factors(_sparse([[0, 0], [0, 0]])) == []
+    assert smith_invariant_factors(_sparse([])) == []
 
 
 def test_smith_rejects_non_graded_input():
     with pytest.raises(VerificationError):
-        smith_invariant_factors([[1, 1], [1, 0b10]])  # the elimination makes 1 + U
+        smith_invariant_factors(_sparse([[1, 1], [1, 0b10]]))  # the elimination makes 1 + U
     with pytest.raises(VerificationError):
-        smith_invariant_factors([[0b11]])  # 1 + U is not a monomial
+        smith_invariant_factors(_sparse([[0b11]]))  # 1 + U is not a monomial
 
 
 def test_smith_matches_oracle_on_staircases():
@@ -248,9 +276,13 @@ def test_smith_matches_oracle_on_staircases():
             if math.gcd(p, q) != 1:
                 continue
             sc = staircase(p, q)
-            for graded in (True, False):
-                mat = _even_basis_matrix(sc, differential(sc), graded)
-                assert smith_invariant_factors(mat) == dense_smith(mat), (p, q, graded)
+            d = differential(sc)
+            # the rows hfk_minus hands over are the presentation's transpose
+            for graded, rows in ((True, _associated_graded(sc, d)), (False, list(d.values()))):
+                mat = _presentation(sc, graded)
+                expected = dense_smith(mat)
+                assert smith_invariant_factors(_sparse(mat)) == expected, (p, q, graded)
+                assert smith_invariant_factors(rows) == expected, (p, q, graded)
 
 
 @st.composite
@@ -268,7 +300,7 @@ def graded_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(graded_matrices())
 def test_smith_matches_dense_oracle(mat):
-    factors = smith_invariant_factors(mat)
+    factors = smith_invariant_factors(_sparse(mat))
     assert factors == dense_smith(mat)
     for first, second in zip(factors, factors[1:]):
         assert poly_divmod(second, first)[1] == 0
@@ -334,15 +366,78 @@ def test_graded_matrix_shape():
     sc = staircase(5, 8)
     d = differential(sc)
     m = len(sc.gaps)
-    graded = _even_basis_matrix(sc, d, graded=True)
-    full = _even_basis_matrix(sc, d, graded=False)
-    assert len(graded) == len(full) == m + 1 and len(graded[0]) == len(full[0]) == m
+    graded = _associated_graded(sc, d)
+    full = list(d.values())
+    assert len(graded) == len(full) == m  # one row per odd generator x_{2j+1}
     # the associated graded keeps exactly the U^{g_i} x_{2i} branch
     for i in range(m + 1):
         for j in range(m):
             upper = 1 << sc.gaps[j] if i == j else 0
-            assert graded[i][j] == upper
-            assert full[i][j] == upper | (1 if i == j + 1 else 0)
+            assert graded[j].get(2 * i, 0) == upper
+            assert full[j].get(2 * i, 0) == upper | (1 if i == j + 1 else 0)
+    assert all(r % 2 == 0 for row in full for r in row)  # no odd generator is hit
+
+
+def test_hfk_at_the_cap_stays_small():
+    for p, q in ((2, MAX_PQ // 2 - 1), (97, 103)):
+        for cached in (floer.alexander_exponents, floer.staircase, floer.hfk_minus):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            module = hfk_minus(p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, (p, q, peak)
+        genus = (p - 1) * (q - 1) // 2
+        assert module.finite_orders() == closed_form_orders(p, q)
+        assert module.towers[-1] == Tower(None, -genus, -2 * genus)
+
+
+# ---- bigraded dimensions: an F_2-rank check of the tower bottoms
+
+
+def _tower_dims(towers, floor: int) -> dict[tuple[int, int], int]:
+    """Bigraded F_2-dimensions the tower list predicts for A >= floor: a
+    torsion tower of order n fills its bottom and the n - 1 bidegrees
+    (A + j, M + 2j) above it, the free tower its generator and everything
+    below it."""
+    dims: dict[tuple[int, int], int] = {}
+    for t in towers:
+        a, m = t.bottom_alexander, t.bottom_maslov
+        steps = range(t.order) if t.order is not None else range(0, floor - a - 1, -1)
+        for j in steps:
+            dims[a + j, m + 2 * j] = dims.get((a + j, m + 2 * j), 0) + 1
+    return dims
+
+
+def test_bigraded_dims_match_towers_sweep():
+    for q in range(3, 16):
+        for p in range(2, q):
+            if math.gcd(p, q) != 1:
+                continue
+            sc = staircase(p, q)
+            floor = -((p - 1) * (q - 1) // 2)
+            dims = bigraded_homology_dims(sc.gradings, differential(sc))
+            assert dims == _tower_dims(hfk_minus(p, q).towers, floor), (p, q)
+
+
+def test_bigraded_dims_pin_t58_bottoms():
+    # the fixed T(5, 8) tower list: orders and bottoms, and the free tower at (-14, -28)
+    towers = [
+        Tower(order, a, m)
+        for order, (a, m) in zip(
+            (1, 1, 1, 1, 1, 2, 1, 2, 4),
+            ((14, 0), (9, -2), (6, -4), (4, -6), (1, -8),
+             (-2, -12), (-4, -14), (-7, -18), (-12, -26)),
+        )
+    ] + [Tower(None, -14, -28)]
+    sc = staircase(5, 8)
+    dims = bigraded_homology_dims(sc.gradings, differential(sc))
+    assert dims == _tower_dims(towers, -14)
+    # the four transverse classes of T(5, -8) sit where the homology is nonzero
+    for bottom in ((14, 0), (4, -6), (-2, -12), (-12, -26)):
+        assert dims[bottom] == 1
 
 
 # ---- matching
