@@ -20,19 +20,13 @@ the homology splits into towers
 The differential is written once, as sparse columns whose entries are
 monomials U^k (bitmasks 1 << k).  d^2 = 0 is checked on those columns: a
 product of monomials is a shift.  The Smith normal form takes those columns
-as its sparse rows, never a dense copy: read that way they are the
-transpose of the presentation matrix (odd generators) -> (even-generator
-span), and a matrix and its transpose have the same invariant factors.  The
-associated-graded matrix keeps the A-preserving entries of each column.
-Both are graded, so the Smith form is a least-degree elimination: the pivot
-of least degree divides every other entry, its column is cleared with row
-operations (entries stay monomials, or cancel), and the pivots come out in
-divisibility order.
-
-Three independent computations of the finite tower orders are compared:
-the staircase gaps, the Smith normal form of the graded differential, and
-the closed form reading the odd-position exponent gaps straight off the
-Alexander polynomial.
+as its sparse rows, the transpose of the presentation matrix (odd
+generators) -> (even-generator span), with the same invariant factors.  The
+associated graded keeps their A-preserving entries; it is diag(U^{g_i}), so
+its Smith form returns the staircase gaps by construction.  The independent
+checks of the tower orders are the closed form (odd-position exponent gaps
+of the Alexander polynomial), the full-complex Smith form (one free tower,
+no torsion) and the Euler characteristic.
 """
 
 import functools
@@ -49,7 +43,7 @@ from .classify import transverse_classes
 # Upper bound on p * q for the Floer layer: the staircase has about pq/2
 # generators.  The benchmark pool's largest pair has pq = 1974 and
 # deep-knots matches have q <= 60; the cap itself, T(2, 4999), costs about
-# 40 ms and 4 MiB on a 2-CPU x86-64 host.
+# 30 ms cold and a 3.7 MiB tracemalloc peak on a 2-CPU x86-64 host.
 MAX_PQ = 10**4
 
 
@@ -165,44 +159,55 @@ def smith_invariant_factors(mat: list[dict[int, int]]) -> list[int]:
     {column: U^k as the bitmask 1 << k}, each dividing the next; the list
     length is the rank.  Absent and zero entries are zero.
 
-    Least-degree elimination on the rows' exponents: the pivot divides
-    every other entry, so clearing its column with row operations and then
-    dropping its row and column leaves a matrix of the same kind.  A
-    non-monomial entry, or a row operation that would make one (the matrix
-    is not graded), raises VerificationError.
+    Least-degree elimination: the pivot divides every other entry, so
+    clearing its column with row operations and dropping its row and column
+    leaves a matrix of the same kind.  Entries wait in one bucket per degree
+    and a heap holds the degrees.  A bucket is read from its end while it
+    grows, so same-degree fill-in is eliminated in the same pass and a
+    bidiagonal matrix makes none; the loop stops once no row is left, past
+    any stale fill-in.  A non-monomial entry, or a row operation that would
+    make one (the matrix is not graded), raises VerificationError.
     """
-    if any(entry & (entry - 1) for row in mat for entry in row.values()):
-        raise VerificationError("matrix entry is not a monomial")
-    rows = {i: {j: e.bit_length() - 1 for j, e in row.items() if e} for i, row in enumerate(mat)}
-    heap = [(k, i, j) for i, row in rows.items() for j, k in row.items()]
-    cols: dict[int, set[int]] = {}
-    for _, i, j in heap:
-        cols.setdefault(j, set()).add(i)
-    heapq.heapify(heap)
+    rows, cols, buckets = {}, {}, {}  # i -> {j: k}, j -> {i}, k -> [(i, j)]
+    for i, row in enumerate(mat):
+        for j, e in row.items():
+            if e & (e - 1):
+                raise VerificationError("matrix entry is not a monomial")
+            if e:
+                k = rows.setdefault(i, {})[j] = e.bit_length() - 1
+                cols.setdefault(j, set()).add(i)
+                buckets.setdefault(k, []).append((i, j))
+    degrees = sorted(buckets)  # a sorted list is a heap
     factors = []
-    while heap:
-        k, i, j = heapq.heappop(heap)
-        if rows.get(i, {}).get(j) != k:
-            continue  # cancelled, or its row was dropped
-        pivot_row = rows.pop(i)
-        del pivot_row[j]
-        for c in pivot_row:
-            cols[c].discard(i)
-        for r in cols.pop(j) - {i}:
-            target = rows[r]
-            shift = target.pop(j) - k
-            for c, e in pivot_row.items():
-                old = target.get(c)
-                if old is None:
-                    target[c] = e + shift
-                    cols[c].add(r)
-                    heapq.heappush(heap, (e + shift, r, c))
-                elif old == e + shift:
-                    del target[c]
-                    cols[c].discard(r)
-                else:
-                    raise VerificationError("elimination left a non-monomial entry")
-        factors.append(1 << k)
+    while rows and degrees:
+        k = heapq.heappop(degrees)
+        bucket = buckets[k]
+        while bucket:
+            i, j = bucket.pop()
+            if (pivot_row := rows.get(i)) is None or pivot_row.get(j) != k:
+                continue  # cancelled, or its row was dropped
+            del rows[i]
+            for c in pivot_row:
+                cols[c].discard(i)
+            del pivot_row[j]
+            for r in cols.pop(j):
+                target = rows[r]
+                shift = target.pop(j) - k
+                for c, e in pivot_row.items():
+                    e += shift
+                    old = target.get(c)
+                    if old is None:
+                        target[c] = e
+                        cols[c].add(r)
+                        if e not in buckets:
+                            heapq.heappush(degrees, e)
+                        buckets.setdefault(e, []).append((r, c))
+                    elif old == e:
+                        del target[c]
+                        cols[c].discard(r)
+                    else:
+                        raise VerificationError("elimination left a non-monomial entry")
+            factors.append(1 << k)
     return factors
 
 

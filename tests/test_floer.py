@@ -1,5 +1,6 @@
 """Staircase complexes, tower decompositions, invariant matching."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -270,6 +271,39 @@ def test_smith_rejects_non_graded_input():
         smith_invariant_factors(_sparse([[0b11]]))  # 1 + U is not a monomial
 
 
+def test_smith_same_degree_fill_in():
+    # a row operation that makes an entry of the pivot's own degree must be
+    # eliminated in the same pass; read in row-major order from either end,
+    # one of these four arrangements makes such an entry
+    for mat in ([[1, 1], [1, 0]], [[0, 1], [1, 1]], [[1, 0], [1, 1]], [[1, 1], [0, 1]]):
+        assert smith_invariant_factors(_sparse(mat)) == dense_smith(mat) == [1, 1], mat
+
+
+def test_smith_row_cancelled_to_zero():
+    # the second row cancels completely: the degrees run out while it is left
+    assert smith_invariant_factors(_sparse([[1, 1], [1, 1]])) == [1]
+    assert smith_invariant_factors(_sparse([[0b10, 1 << 3], [0b10, 1 << 3], [0, 0]])) == [0b10]
+
+
+def test_smith_full_staircase_at_the_cap():
+    # one unit per row; in the reverse row order every pivot fills in the
+    # first column with a new degree, left stale once the rows run out
+    for p, q in ((2, MAX_PQ // 2 - 1), (97, 103)):
+        rows = list(differential(staircase(p, q)).values())
+        for order in (rows, rows[::-1]):
+            assert smith_invariant_factors(order) == [1] * len(rows), (p, q)
+
+
+def test_smith_rejects_non_graded_fill_in():
+    # determinant 1 + U, so every pivot order must fail; in the order given
+    # the first pivot fills in row 0 at degree 0, and eliminating with that
+    # entry would put U + 1 at row 1, column 2
+    mat = [[0, 1, 1], [0, 0b10, 1], [1, 1, 0]]
+    for perm in itertools.permutations(mat):
+        with pytest.raises(VerificationError, match="non-monomial"):
+            smith_invariant_factors(_sparse(list(perm)))
+
+
 def test_smith_matches_oracle_on_staircases():
     for q in range(3, 21):
         for p in range(2, q):
@@ -288,9 +322,10 @@ def test_smith_matches_oracle_on_staircases():
 @st.composite
 def graded_matrices(draw):
     """Monomial matrices with row weights r_i and column weights c_j: entry
-    (i, j) is 0 or U^(c_j - r_i), so every row operation keeps the grading."""
-    row_weights = draw(st.lists(st.integers(0, 4), min_size=1, max_size=6))
-    col_weights = draw(st.lists(st.integers(0, 8), min_size=1, max_size=6))
+    (i, j) is 0 or U^(c_j - r_i), so every row operation keeps the grading.
+    Few distinct weights make same-degree fill-in common."""
+    row_weights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=10))
+    col_weights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=10))
     return [
         [1 << (c - r) if c >= r and draw(st.booleans()) else 0 for c in col_weights]
         for r in row_weights
