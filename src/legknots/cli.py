@@ -101,16 +101,18 @@ def _render(payload) -> str:
     return "".join(pieces)
 
 
-def _emit(args, payload, lines) -> None:
+def _emit(args, payload, report) -> None:
     """Write the JSON payload to --out, then print it (--json) or the text
-    report; the JSON is rendered only when one of them uses it."""
+    report, the list of lines ``report()`` returns.  Each is built only
+    when it is used: the JSON for --json or --out, the report for neither
+    --json nor --quiet."""
     rendered = _render(payload) if args.json or args.out else None
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(rendered + "\n")
     if args.quiet:
         return
-    print(rendered if args.json else "\n".join(lines))
+    print(rendered if args.json else "\n".join(report()))
 
 
 def _format_class(index: int, cls) -> str:
@@ -133,8 +135,7 @@ def _format_class(index: int, cls) -> str:
 def cmd_cf(args) -> int:
     entries = neg_cf(args.num, args.den)
     payload = {"num": args.num, "den": args.den, "entries": list(entries)}
-    lines = [f"{args.num}/{args.den} = {list(entries)}"]
-    _emit(args, payload, lines)
+    _emit(args, payload, lambda: [f"{args.num}/{args.den} = {list(entries)}"])
     return 0
 
 
@@ -161,7 +162,7 @@ def cmd_params(args) -> int:
         "seifert_constants": [s1, s2],
         "chains": chains,
     }
-    lines = [
+    _emit(args, payload, lambda: [
         f"T({params.p}, -{params.q}):  q = {params.n}p - {params.k}",
         f"  c = {params.c}, d = {params.d}, p' = {params.p_prime}, q' = {params.q_prime}",
         f"  genus = {params.genus}",
@@ -169,23 +170,20 @@ def cmd_params(args) -> int:
     ] + [
         f"  chain {i}: coefficient {c['coefficient']} -> entries {c['entries']}, tb {c['tb']}"
         for i, c in enumerate(chains, 1)
-    ]
-    _emit(args, payload, lines)
+    ])
     return 0
 
 
 def cmd_enumerate(args) -> int:
-    items = []
-    lines = []
-    for pres in enumerate_presentations(args.p, args.q, args.level):
-        inv = classical_invariants(pres)
-        items.append({"presentation": pres.to_dict(), "invariants": inv.to_dict()})
-        lines.append(
-            f"rots {list(pres.rots1)} {list(pres.rots2)} stabs (+{pres.stab_pos}, -{pres.stab_neg})"
-            f"  tb = {inv.tb}, rot = {inv.rot}, d3 = {inv.d3}, (A, M) = ({inv.alexander}, {inv.maslov})"
-        )
-    lines.append(f"{len(items)} presentations of T({args.p}, -{args.q}) at level {args.level}")
-    _emit(args, {"p": args.p, "q": args.q, "level": args.level, "presentations": items}, lines)
+    presentations = enumerate_presentations(args.p, args.q, args.level)
+    found = [(pres, classical_invariants(pres)) for pres in presentations]
+    items = [{"presentation": pres.to_dict(), "invariants": inv.to_dict()} for pres, inv in found]
+    payload = {"p": args.p, "q": args.q, "level": args.level, "presentations": items}
+    _emit(args, payload, lambda: [
+        f"rots {list(pres.rots1)} {list(pres.rots2)} stabs (+{pres.stab_pos}, -{pres.stab_neg})"
+        f"  tb = {inv.tb}, rot = {inv.rot}, d3 = {inv.d3}, (A, M) = ({inv.alexander}, {inv.maslov})"
+        for pres, inv in found
+    ] + [f"{len(found)} presentations of T({args.p}, -{args.q}) at level {args.level}"])
     return 0
 
 
@@ -197,63 +195,52 @@ def cmd_classify(args) -> int:
         "level": args.level,
         "classes": [cls.to_dict() for cls in classes],
     }
-    lines = [_format_class(i, cls) for i, cls in enumerate(classes)]
-    lines.append(
+    _emit(args, payload, lambda: [_format_class(i, cls) for i, cls in enumerate(classes)] + [
         f"{len(classes)} classes of T({args.p}, -{args.q}) at level {args.level} "
         f"({sum(cls.size for cls in classes)} presentations)"
-    )
-    _emit(args, payload, lines)
+    ])
     return 0
 
 
 def cmd_transverse(args) -> int:
     classes = transverse_classes(args.p, args.q)
     payload = {"p": args.p, "q": args.q, "classes": [cls.to_dict() for cls in classes]}
-    lines = [_format_class(i, cls) for i, cls in enumerate(classes)]
-    lines.append(f"{len(classes)} strongly non-loose transverse classes of T({args.p}, -{args.q})")
-    _emit(args, payload, lines)
+    _emit(args, payload, lambda: [_format_class(i, cls) for i, cls in enumerate(classes)] + [
+        f"{len(classes)} strongly non-loose transverse classes of T({args.p}, -{args.q})"
+    ])
     return 0
 
 
 def cmd_hfk(args) -> int:
     module = hfk_minus(args.p, args.q)
     payload = {"p": args.p, "q": args.q, **module.to_dict()}
-    lines = []
-    for tower in module.towers:
-        location = f"({tower.bottom_alexander}, {tower.bottom_maslov})"
-        if tower.order is None:
-            lines.append(f"F[U] tower with bottom at {location}")
-        else:
-            lines.append(f"F[U]/U^{tower.order} tower with bottom at {location}")
-    lines.append(
-        f"HFK-minus of T({args.p}, {args.q}): {len(module.towers) - 1} torsion towers + 1 free"
-    )
-    _emit(args, payload, lines)
+    _emit(args, payload, lambda: [
+        f"{'F[U]' if t.order is None else f'F[U]/U^{t.order}'} tower with bottom at "
+        f"({t.bottom_alexander}, {t.bottom_maslov})"
+        for t in module.towers
+    ] + [f"HFK-minus of T({args.p}, {args.q}): {len(module.towers) - 1} torsion towers + 1 free"])
     return 0
 
 
 def cmd_match(args) -> int:
     report = match_invariants(args.p, args.q)
-    lines = [
+    _emit(args, report, lambda: [
         f"T({args.p}, -{args.q}): {report['transverse_count']} transverse classes on "
         f"{report['bottom_count']} torsion-tower bottoms",
         "realized:   " + ", ".join(f"({a}, {m})" for a, m in report["realized"]),
         "unrealized: " + (", ".join(f"({a}, {m})" for a, m in report["unrealized"]) or "(none)"),
-    ]
-    _emit(args, report, lines)
+    ])
     return 0
 
 
 def cmd_lens(args) -> int:
     report = surjectivity_check(args.p, args.q)
     u = args.p * args.q + 1
-    sizes = ",".join(str(len(f)) for f in report["fibers"])
-    lines = [
+    _emit(args, report, lambda: [
         f"L({u}, {args.p * args.p % u}): Honda count {report['honda_count']}, "
         f"image size {report['image_size']} -> {'surjective' if report['ok'] else 'NOT surjective'}",
-        f"fiber sizes: {sizes}",
-    ]
-    _emit(args, report, lines)
+        "fiber sizes: " + ",".join(str(len(f)) for f in report["fibers"]),
+    ])
     if not report["ok"]:
         raise VerificationError(f"lens reduction not surjective for T({args.p}, -{args.q})")
     return 0
@@ -263,9 +250,9 @@ def cmd_verify(args) -> int:
     results = run_all(args.only or None)
     payload = [{"name": name, "ok": ok, "detail": detail} for name, ok, detail in results]
     failed = [name for name, ok, _ in results if not ok]
-    lines = [f"[{'PASS' if ok else 'FAIL'}] {name} - {detail}" for name, ok, detail in results]
-    lines.append(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    _emit(args, payload, lines)
+    _emit(args, payload, lambda: [
+        f"[{'PASS' if ok else 'FAIL'}] {name} - {detail}" for name, ok, detail in results
+    ] + [f"{len(results) - len(failed)}/{len(results)} checks passed"])
     return 1 if failed else 0
 
 

@@ -19,18 +19,17 @@ the homology splits into towers
 
 The differential is written once, as sparse columns whose entries are
 monomials U^k (bitmasks 1 << k).  d^2 = 0 is checked on those columns: a
-product of monomials is a shift.  The Smith normal form takes those columns
-as its sparse rows, the transpose of the presentation matrix (odd
-generators) -> (even-generator span), with the same invariant factors.  The
-associated graded keeps their A-preserving entries; it is diag(U^{g_i}), so
-its Smith form returns the staircase gaps by construction.  The independent
-checks of the tower orders are the closed form (odd-position exponent gaps
-of the Alexander polynomial), the full-complex Smith form (one free tower,
-no torsion) and the Euler characteristic.
+product of monomials is a shift.  Each tower is checked against the
+homology of the A-associated-graded complex, read from two columns of d:
+M - 2A strictly increases along the staircase and U keeps it fixed, so a
+bidegree holds at most one basis element U^k x_j, found by a lookup on
+M - 2A.  The torsion orders are also checked against the closed form
+(odd-position exponent gaps of the Alexander polynomial), the full complex
+against the homology of the sphere (a unitriangular block of d), and the
+gradings against the graded Euler characteristic.
 """
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -43,7 +42,7 @@ from .classify import transverse_classes
 # Upper bound on p * q for the Floer layer: the staircase has about pq/2
 # generators.  The benchmark pool's largest pair has pq = 1974 and
 # deep-knots matches have q <= 60; the cap itself, T(2, 4999), costs about
-# 30 ms cold and a 3.7 MiB tracemalloc peak on a 2-CPU x86-64 host.
+# 11 ms cold and a 2.3 MiB tracemalloc peak on a 2-CPU x86-64 host.
 MAX_PQ = 10**4
 
 
@@ -142,73 +141,23 @@ def squares_to_zero(d: dict[int, dict[int, int]]) -> bool:
     return True
 
 
-def _associated_graded(
-    complex_: StaircaseComplex, d: dict[int, dict[int, int]]
-) -> list[dict[int, int]]:
-    """The columns of d as sparse rows, keeping the terms a x_r of d(x_c) with
-    A(x_r) - deg a = A(x_c): the A-associated-graded differential."""
-    alexander = [a for a, _ in complex_.gradings]
-    return [
-        {r: e for r, e in column.items() if alexander[r] - e.bit_length() + 1 == alexander[c]}
-        for c, column in d.items()
-    ]
+def _homology_is_sphere(d: dict[int, dict[int, int]], generators: int) -> bool:
+    """Whether the full complex has the homology of the sphere, one free tower.
 
-
-def smith_invariant_factors(mat: list[dict[int, int]]) -> list[int]:
-    """Invariant factors of a graded matrix over F_2[U] given as sparse rows
-    {column: U^k as the bitmask 1 << k}, each dividing the next; the list
-    length is the rank.  Absent and zero entries are zero.
-
-    Least-degree elimination: the pivot divides every other entry, so
-    clearing its column with row operations and dropping its row and column
-    leaves a matrix of the same kind.  Entries wait in one bucket per degree
-    and a heap holds the degrees.  A bucket is read from its end while it
-    grows, so same-degree fill-in is eliminated in the same pass and a
-    bidiagonal matrix makes none; the loop stops once no row is left, past
-    any stale fill-in.  A non-monomial entry, or a row operation that would
-    make one (the matrix is not graded), raises VerificationError.
+    It does when d takes each x_c it does not kill to cycles, by monomials,
+    with the unit entry x_{c+1} below its other entries: the rows x_{c+1}
+    then form a unitriangular block, so d is injective and its cokernel is
+    F_2[U] on the one generator left over.
     """
-    rows, cols, buckets = {}, {}, {}  # i -> {j: k}, j -> {i}, k -> [(i, j)]
-    for i, row in enumerate(mat):
-        for j, e in row.items():
-            if e & (e - 1):
-                raise VerificationError("matrix entry is not a monomial")
-            if e:
-                k = rows.setdefault(i, {})[j] = e.bit_length() - 1
-                cols.setdefault(j, set()).add(i)
-                buckets.setdefault(k, []).append((i, j))
-    degrees = sorted(buckets)  # a sorted list is a heap
-    factors = []
-    while rows and degrees:
-        k = heapq.heappop(degrees)
-        bucket = buckets[k]
-        while bucket:
-            i, j = bucket.pop()
-            if (pivot_row := rows.get(i)) is None or pivot_row.get(j) != k:
-                continue  # cancelled, or its row was dropped
-            del rows[i]
-            for c in pivot_row:
-                cols[c].discard(i)
-            del pivot_row[j]
-            for r in cols.pop(j):
-                target = rows[r]
-                shift = target.pop(j) - k
-                for c, e in pivot_row.items():
-                    e += shift
-                    old = target.get(c)
-                    if old is None:
-                        target[c] = e
-                        cols[c].add(r)
-                        if e not in buckets:
-                            heapq.heappush(degrees, e)
-                        buckets.setdefault(e, []).append((r, c))
-                    elif old == e:
-                        del target[c]
-                        cols[c].discard(r)
-                    else:
-                        raise VerificationError("elimination left a non-monomial entry")
-            factors.append(1 << k)
-    return factors
+    if generators != 2 * len(d) + 1:
+        return False
+    for c, column in d.items():
+        if column.get(c + 1) != 1 or max(column) != c + 1:
+            return False
+        for r, e in column.items():
+            if r in d or e & (e - 1):
+                return False
+    return True
 
 
 # ---- graded module
@@ -262,19 +211,58 @@ def euler_characteristic(complex_: StaircaseComplex) -> dict[int, int]:
     return {a: c for a, c in chi.items() if c}
 
 
+def _check_towers(complex_: StaircaseComplex, d: dict[int, dict[int, int]], towers) -> None:
+    """Raise VerificationError unless each tower sits where the F_2-homology
+    of the A-associated-graded complex puts it, read from the columns of d.
+
+    The U-line M - 2A = w holds one basis element per bidegree, U^k x_j at
+    A = A(x_j) - k with j = where[w]; the line one Maslov step above holds
+    the U^k x_i with i = where[w + 1].  Each U^k x_j is a cycle when the
+    graded part of d(x_j) is zero, and a boundary at every A <= A(x_i) when
+    the graded part of d(x_i) hits x_j.  So the homology on the line is 1 for
+    A in (A(x_i), A(x_j)] and 0 elsewhere.  A torsion tower must fill exactly
+    its own bidegrees: 1 at its top and its bottom, 0 one U-step below the
+    bottom (U kills the bottom) and one step above the top.  The free tower
+    is 1 at its generator and at every U-step below it.
+    """
+    alexander = [a for a, _ in complex_.gradings]
+    where = {m - 2 * a: j for j, (a, m) in enumerate(complex_.gradings)}
+    if len(where) != len(alexander):
+        raise VerificationError("two staircase generators share M - 2A")
+
+    def graded(c: int, r: int) -> bool:  # d(x_c) has an A-preserving term at x_r
+        e = d.get(c, {}).get(r)
+        return bool(e) and alexander[r] - e.bit_length() + 1 == alexander[c]
+
+    for t in towers:
+        a = t.bottom_alexander
+        w = t.bottom_maslov - 2 * a
+        j, i = where.get(w), where.get(w + 1)
+        top = None if j is None or any(graded(j, r) for r in d.get(j, ())) else alexander[j]
+        below = alexander[i] if i is not None and graded(i, j) else None
+        if (top, below) != ((a, None) if t.order is None else (a + t.order - 1, a - 1)):
+            raise VerificationError(
+                f"T({complex_.p}, {complex_.q}): tower {t.to_dict()} does not match the "
+                f"homology of d on its U-line (top {top}, highest boundary {below})"
+            )
+
+
 @functools.lru_cache(maxsize=None)
 def hfk_minus(p: int, q: int) -> GradedModule:
     """Minus-flavor knot Floer homology of T(p, q) as a tower decomposition.
 
-    Raises VerificationError unless the staircase, Smith-normal-form, and
-    closed-form computations of the torsion orders agree, the full complex
-    has the homology of the ambient sphere (one free tower), the graded
-    Euler characteristic matches the Alexander polynomial, and d^2 = 0.
+    Raises VerificationError unless d^2 = 0, the full complex has the
+    homology of the sphere, every tower sits where the homology of the
+    associated-graded differential puts it (top, bottom, and the U-steps
+    just past them), the torsion orders equal the closed form, and the
+    graded Euler characteristic matches the Alexander polynomial.
     """
     complex_ = staircase(p, q)
     d = differential(complex_)
     if not squares_to_zero(d):
         raise VerificationError("staircase differential does not square to zero")
+    if not _homology_is_sphere(d, len(complex_.gradings)):
+        raise VerificationError("full complex is not the homology of the sphere")
 
     towers = []
     for i, gap in enumerate(complex_.gaps):
@@ -282,25 +270,12 @@ def hfk_minus(p: int, q: int) -> GradedModule:
         towers.append(Tower(gap, a - gap + 1, m - 2 * gap + 2))
     towers.append(Tower(None, *complex_.gradings[-1]))
     module = GradedModule(tuple(towers))
-
-    graded_factors = smith_invariant_factors(_associated_graded(complex_, d))
-    if len(graded_factors) != len(complex_.gaps):
-        raise VerificationError("graded differential has unexpected rank")
-    snf_orders = tuple(sorted(f.bit_length() - 1 for f in graded_factors))
-    if not (module.finite_orders() == snf_orders == closed_form_orders(p, q)):
+    _check_towers(complex_, d, module.towers)
+    if module.finite_orders() != closed_form_orders(p, q):
         raise VerificationError(
             f"torsion orders disagree for T({p}, {q}): "
-            f"towers {module.finite_orders()}, smith {snf_orders}, "
-            f"closed form {closed_form_orders(p, q)}"
+            f"towers {module.finite_orders()}, closed form {closed_form_orders(p, q)}"
         )
-
-    # Both branches of d land on even generators, so as soon as d has full
-    # rank on the odd generators the kernel is the even-generator span and
-    # the image lies inside it: d presents the homology, and must reduce to
-    # one free summand and no torsion -- the Floer homology of the sphere.
-    full_factors = smith_invariant_factors(list(d.values()))
-    if len(full_factors) != len(complex_.gaps) or any(f != 1 for f in full_factors):
-        raise VerificationError("full complex is not the homology of the sphere")
 
     exps = alexander_exponents(p, q)
     expected_chi = {e: (1 if i % 2 == 0 else -1) for i, e in enumerate(exps)}

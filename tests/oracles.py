@@ -1,12 +1,15 @@
 """Exact oracles the tests compare the runtime against.
 
 None of these is on the runtime path: the library computes the same facts
-with integer eliminations and continuants, and reads the Floer tower
-bottoms off the staircase where the oracle here takes ranks over F_2.
+with integer eliminations and continuants, and reads the Floer towers off
+the staircase and two columns of its differential per tower, where the
+oracles here take ranks over F_2 and the Smith normal form over F_2[U].
 """
 
+import heapq
 from fractions import Fraction
 
+from legknots.cf import VerificationError
 from legknots.invariants import _linking, rotation_vector
 from legknots.linalg import det_bareiss
 
@@ -152,3 +155,70 @@ def bigraded_homology_dims(gradings, d) -> dict[tuple[int, int], int]:
         if dim:
             dims[a, m] = dim
     return dims
+
+
+def associated_graded(complex_, d: dict[int, dict[int, int]]) -> list[dict[int, int]]:
+    """The columns of d as sparse rows, keeping the terms a x_r of d(x_c) with
+    A(x_r) - deg a = A(x_c): the A-associated-graded differential."""
+    alexander = [a for a, _ in complex_.gradings]
+    return [
+        {r: e for r, e in column.items() if alexander[r] - e.bit_length() + 1 == alexander[c]}
+        for c, column in d.items()
+    ]
+
+
+def smith_invariant_factors(mat: list[dict[int, int]]) -> list[int]:
+    """Invariant factors of a graded matrix over F_2[U] given as sparse rows
+    {column: U^k as the bitmask 1 << k}, each dividing the next; the list
+    length is the rank.  Absent and zero entries are zero.
+
+    Least-degree elimination: the pivot divides every other entry, so
+    clearing its column with row operations and dropping its row and column
+    leaves a matrix of the same kind.  Entries wait in one bucket per degree
+    and a heap holds the degrees.  A bucket is read from its end while it
+    grows, so same-degree fill-in is eliminated in the same pass and a
+    bidiagonal matrix makes none; the loop stops once no row is left, past
+    any stale fill-in.  A non-monomial entry, or a row operation that would
+    make one (the matrix is not graded), raises VerificationError.
+    """
+    rows, cols, buckets = {}, {}, {}  # i -> {j: k}, j -> {i}, k -> [(i, j)]
+    for i, row in enumerate(mat):
+        for j, e in row.items():
+            if e & (e - 1):
+                raise VerificationError("matrix entry is not a monomial")
+            if e:
+                k = rows.setdefault(i, {})[j] = e.bit_length() - 1
+                cols.setdefault(j, set()).add(i)
+                buckets.setdefault(k, []).append((i, j))
+    degrees = sorted(buckets)  # a sorted list is a heap
+    factors = []
+    while rows and degrees:
+        k = heapq.heappop(degrees)
+        bucket = buckets[k]
+        while bucket:
+            i, j = bucket.pop()
+            if (pivot_row := rows.get(i)) is None or pivot_row.get(j) != k:
+                continue  # cancelled, or its row was dropped
+            del rows[i]
+            for c in pivot_row:
+                cols[c].discard(i)
+            del pivot_row[j]
+            for r in cols.pop(j):
+                target = rows[r]
+                shift = target.pop(j) - k
+                for c, e in pivot_row.items():
+                    e += shift
+                    old = target.get(c)
+                    if old is None:
+                        target[c] = e
+                        cols[c].add(r)
+                        if e not in buckets:
+                            heapq.heappush(degrees, e)
+                        buckets.setdefault(e, []).append((r, c))
+                    elif old == e:
+                        del target[c]
+                        cols[c].discard(r)
+                    else:
+                        raise VerificationError("elimination left a non-monomial entry")
+            factors.append(1 << k)
+    return factors

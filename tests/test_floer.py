@@ -12,19 +12,19 @@ from legknots import floer
 from legknots.cf import VerificationError
 from legknots.floer import (
     MAX_PQ,
+    StaircaseComplex,
     Tower,
-    _associated_graded,
+    _check_towers,
     alexander_exponents,
     closed_form_orders,
     differential,
     euler_characteristic,
     hfk_minus,
     match_invariants,
-    smith_invariant_factors,
     squares_to_zero,
     staircase,
 )
-from oracles import bigraded_homology_dims
+from oracles import associated_graded, bigraded_homology_dims, smith_invariant_factors
 
 # ---- oracle: dense Smith normal form over F_2[U] (bitmask encoding, bit k = U^k)
 
@@ -311,8 +311,8 @@ def test_smith_matches_oracle_on_staircases():
                 continue
             sc = staircase(p, q)
             d = differential(sc)
-            # the rows hfk_minus hands over are the presentation's transpose
-            for graded, rows in ((True, _associated_graded(sc, d)), (False, list(d.values()))):
+            # the differential's columns, read as rows, are the presentation's transpose
+            for graded, rows in ((True, associated_graded(sc, d)), (False, list(d.values()))):
                 mat = _presentation(sc, graded)
                 expected = dense_smith(mat)
                 assert smith_invariant_factors(_sparse(mat)) == expected, (p, q, graded)
@@ -401,7 +401,7 @@ def test_graded_matrix_shape():
     sc = staircase(5, 8)
     d = differential(sc)
     m = len(sc.gaps)
-    graded = _associated_graded(sc, d)
+    graded = associated_graded(sc, d)
     full = list(d.values())
     assert len(graded) == len(full) == m  # one row per odd generator x_{2j+1}
     # the associated graded keeps exactly the U^{g_i} x_{2i} branch
@@ -427,6 +427,98 @@ def test_hfk_at_the_cap_stays_small():
         genus = (p - 1) * (q - 1) // 2
         assert module.finite_orders() == closed_form_orders(p, q)
         assert module.towers[-1] == Tower(None, -genus, -2 * genus)
+
+
+# ---- the tower check inside hfk_minus
+
+SMALL_PAIRS = [
+    (p, q) for q in range(3, 301) for p in range(2, q) if p * q <= 600 and math.gcd(p, q) == 1
+]
+
+
+def _hfk_with_towers(monkeypatch, p, q, mutate):
+    """hfk_minus(p, q), uncached, with each tower it builds replaced by
+    mutate(index, tower)."""
+    built = itertools.count()
+    with monkeypatch.context() as patch:
+        patch.setattr(floer, "Tower", lambda *fields: mutate(next(built), Tower(*fields)))
+        return hfk_minus.__wrapped__(p, q)
+
+
+def test_tower_check_accepts_small_pairs(monkeypatch):
+    assert len(SMALL_PAIRS) == 805
+    for p, q in SMALL_PAIRS:
+        assert _hfk_with_towers(monkeypatch, p, q, lambda _, tower: tower) == hfk_minus(p, q)
+
+
+def test_reversed_gaps_towers_raise(monkeypatch):
+    # each torsion tower keeps its top x_{2i} but takes the gaps in reverse
+    # order: the orders keep their multiset, which the closed form compares
+    mutated = 0
+    for p, q in SMALL_PAIRS:
+        gaps = staircase(p, q).gaps
+        if gaps == gaps[::-1]:
+            continue
+
+        def reverse(i, tower):
+            if tower.order is None:
+                return tower
+            order = gaps[-1 - i]
+            top_a = tower.bottom_alexander + tower.order - 1
+            top_m = tower.bottom_maslov + 2 * tower.order - 2
+            return Tower(order, top_a - order + 1, top_m - 2 * order + 2)
+
+        with pytest.raises(VerificationError, match="homology of d"):
+            _hfk_with_towers(monkeypatch, p, q, reverse)
+        mutated += 1
+    assert mutated == 656
+
+
+@pytest.mark.parametrize("step", (1, -1))
+def test_shifted_first_bottom_raises(monkeypatch, step):
+    def shift(i, tower):
+        if i:
+            return tower
+        return Tower(tower.order, tower.bottom_alexander + step, tower.bottom_maslov + 2 * step)
+
+    for p, q in SMALL_PAIRS:
+        with pytest.raises(VerificationError, match="homology of d"):
+            _hfk_with_towers(monkeypatch, p, q, shift)
+
+
+@pytest.mark.parametrize(
+    "column, message",
+    [
+        ({0: 0b100, 2: 1}, "homology of d"),  # the graded entry one degree too high
+        ({0: 1, 2: 1}, "homology of d"),  # one degree too low
+        ({2: 1}, "homology of d"),  # the graded entry dropped
+        ({0: 0b10, 2: 0b10}, "sphere"),  # the unit entry made U
+        ({0: 0b10}, "sphere"),  # the unit entry dropped
+        ({0: 0b11, 2: 1}, "sphere"),  # an entry that is not a monomial
+    ],
+)
+def test_mutated_differential_raises(monkeypatch, column, message):
+    # d(x_1) = U x_0 + x_2 in T(5, 8) is replaced by column.  The Smith forms
+    # of the oracles see each change (the graded one or the full one raises,
+    # or stops matching the closed form or the sphere), and so must hfk_minus.
+    sc = staircase(5, 8)
+    d = {**differential(sc), 1: column}
+    try:
+        graded = sorted(f.bit_length() - 1 for f in smith_invariant_factors(associated_graded(sc, d)))
+        full = smith_invariant_factors(list(d.values()))
+        assert graded != list(closed_form_orders(5, 8)) or full != [1] * len(d)
+    except VerificationError:
+        pass
+    monkeypatch.setattr(floer, "differential", lambda _: d)
+    with pytest.raises(VerificationError, match=message):
+        hfk_minus.__wrapped__(5, 8)
+
+
+def test_tower_check_needs_distinct_m_minus_2a():
+    # two generators on one U-line would put two basis elements in a bidegree
+    twins = StaircaseComplex(2, 3, ((1, 0), (1, 0), (-1, -2)), (1,))
+    with pytest.raises(VerificationError, match="share M - 2A"):
+        _check_towers(twins, {}, ())
 
 
 # ---- bigraded dimensions: an F_2-rank check of the tower bottoms
