@@ -67,7 +67,7 @@ def check_tb_contract():
         for level in range(6):
             population = list(diagram.enumerate_presentations(p, q, level))
             for idx in sorted({0, len(population) // 2, len(population) - 1}):
-                if invariants.compute_tb(population[idx]) != -p * q - level:
+                if invariants.classical_invariants(population[idx]).tb != -p * q - level:
                     return False, f"tb mismatch for T({p}, -{q}) at level {level}"
                 checked += 1
     elapsed = _clock() - start
@@ -156,15 +156,15 @@ def check_d3_range():
         bound = (p - 1) * (q - 1)
         for pres in diagram.enumerate_presentations(p, q, 0):
             if diagram.is_ambient_tight(pres):
-                if invariants.compute_d3(pres) != 0:
+                if invariants.classical_invariants(pres).d3 != 0:
                     return False, f"balanced presentation of T({p}, -{q}) has d3 != 0"
             if not diagram.nonvanishing_condition(pres):
                 continue
             nonvanishing += 1
-            d3 = invariants.compute_d3(pres)
+            d3 = invariants.classical_invariants(pres).d3
             if d3 % 2 != 0 or not 0 < d3 <= bound:
                 return False, f"d3 = {d3} out of range for T({p}, -{q}) {pres}"
-        if invariants.compute_d3(_all_fully_positive(p, q)) != bound:
+        if invariants.classical_invariants(_all_fully_positive(p, q)).d3 != bound:
             return False, f"fully positive presentation of T({p}, -{q}) misses d3 = {bound}"
     return True, (
         f"d3 even and in (0, (p-1)(q-1)] on {nonvanishing} nonzero-invariant "

@@ -12,11 +12,16 @@ the knot's stabilizations:
   * everything else is loose, and loose knots are grouped coarsely by their
     classical invariants (rot, d3).
 
+A class is kept as its size, its representative (the member with the least
+to_json()) and the representative's invariants, which every member shares.
+
 Transverse classes are the level-0 presentations with nonzero invariant
-(neither leader fully negative), identified whenever q fully negative
-stabilizations land them in the same class; with the rules above the
-stabilizations stay strongly non-loose and never merge, so the transverse
-count equals the presentation count.
+(neither leader fully negative), one class each.  Two of them would be the
+same transverse knot if q fully negative stabilizations landed them in one
+class; but those stabilizations keep every leader as it was, so they stay
+strongly non-loose, and strongly non-loose classes are singletons keyed by
+the presentation itself: none merge, and the transverse count equals the
+presentation count.
 """
 
 import functools
@@ -24,11 +29,9 @@ from dataclasses import dataclass
 
 from .diagram import (
     Presentation,
-    chains_for,
     enumerate_presentations,
     is_ambient_tight,
-    is_fully_negative,
-    is_fully_positive,
+    leader_extremes,
     nonvanishing_condition,
     validate_presentation,
 )
@@ -36,15 +39,6 @@ from .invariants import ClassicalInvariants, classical_invariants
 
 
 # ---- verdicts
-
-
-def _leader_extremes(pres: Presentation) -> tuple[bool, bool]:
-    """(some leader fully positive, some leader fully negative)."""
-    tbs1, tbs2 = chains_for(pres.p, pres.q)
-    leaders = ((tbs1[0], pres.rots1[0]), (tbs2[0], pres.rots2[0]))
-    any_fp = any(is_fully_positive(rot, tb) for tb, rot in leaders)
-    any_fn = any(is_fully_negative(rot, tb) for tb, rot in leaders)
-    return any_fp, any_fn
 
 
 def looseness_verdict(pres: Presentation) -> str:
@@ -58,7 +52,7 @@ def looseness_verdict(pres: Presentation) -> str:
     """
     if is_ambient_tight(pres):
         return "tight"
-    any_fp, any_fn = _leader_extremes(pres)
+    any_fp, any_fn = leader_extremes(pres)
     if pres.stab_pos == 0 and not any_fn:
         return "strongly_nonloose"
     if pres.stab_neg == 0 and not any_fp:
@@ -80,7 +74,7 @@ def _class_key(pres: Presentation, inv: ClassicalInvariants):
 
 @dataclass(frozen=True)
 class EquivClass:
-    members: tuple[Presentation, ...]
+    size: int
     representative: Presentation
     ambient_tight: bool
     loose: bool
@@ -88,9 +82,15 @@ class EquivClass:
     transverse: bool
     invariants: ClassicalInvariants
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
+    @classmethod
+    def of(cls, rep: Presentation, inv: ClassicalInvariants, size: int = 1) -> "EquivClass":
+        """The class of `size` members represented by `rep`; it is transverse
+        when it survives every further negative stabilization as strongly
+        non-loose."""
+        verdict = looseness_verdict(rep)
+        snl = verdict == "strongly_nonloose"
+        transverse = snl and rep.stab_pos == 0 and not leader_extremes(rep)[1]
+        return cls(size, rep, verdict == "tight", verdict == "loose", snl, transverse, inv)
 
     def to_dict(self) -> dict:
         return {
@@ -106,36 +106,18 @@ class EquivClass:
         }
 
 
-def _is_transverse_relevant(pres: Presentation) -> bool:
-    """Survives every further negative stabilization as strongly non-loose."""
-    _, any_fn = _leader_extremes(pres)
-    return pres.stab_pos == 0 and not any_fn
-
-
-def _build_class(members_with_inv) -> EquivClass:
-    members = tuple(sorted((pres for pres, _ in members_with_inv), key=lambda pr: pr.to_json()))
-    by_pres = dict(members_with_inv)
-    rep = members[0]
-    verdict = looseness_verdict(rep)
-    return EquivClass(
-        members=members,
-        representative=rep,
-        ambient_tight=verdict == "tight",
-        loose=verdict == "loose",
-        strongly_nonloose=verdict == "strongly_nonloose",
-        transverse=verdict == "strongly_nonloose" and _is_transverse_relevant(rep),
-        invariants=by_pres[rep],
-    )
-
-
 @functools.lru_cache(maxsize=None)
 def classify_level(p: int, q: int, level: int) -> tuple[EquivClass, ...]:
     """Partition all level-`level` presentations of T(p, -q) into classes."""
-    buckets: dict = {}
+    buckets: dict = {}  # class key -> [size, least to_json(), its presentation, invariants]
     for pres in enumerate_presentations(p, q, level):
         inv = classical_invariants(pres)
-        buckets.setdefault(_class_key(pres, inv), []).append((pres, inv))
-    classes = [_build_class(items) for items in buckets.values()]
+        text = pres.to_json()
+        bucket = buckets.setdefault(_class_key(pres, inv), [0, text, pres, inv])
+        bucket[0] += 1
+        if text < bucket[1]:
+            bucket[1:] = text, pres, inv
+    classes = [EquivClass.of(pres, inv, size) for size, _, pres, inv in buckets.values()]
     classes.sort(  # tight, then strongly non-loose, then loose
         key=lambda c: (
             not c.ambient_tight,
@@ -157,21 +139,12 @@ def ambient_tight_class_count(p: int, q: int, level: int) -> int:
 
 
 def transverse_classes(p: int, q: int) -> tuple[EquivClass, ...]:
-    """One class per strongly non-loose transverse representative.
-
-    Level-0 presentations with nonzero invariant are identified exactly when
-    q fully negative stabilizations land them in the same equivalence class.
-    """
-    groups: dict = {}
-    for pres in enumerate_presentations(p, q, 0):
-        if not nonvanishing_condition(pres):
-            continue
-        stabilized = pres.stabilize(neg=q)
-        inv = classical_invariants(stabilized)
-        groups.setdefault(_class_key(stabilized, inv), []).append(pres)
+    """One class per level-0 presentation with nonzero invariant, ordered by
+    descending rot (see the module docstring for why none merge)."""
     classes = [
-        _build_class([(pres, classical_invariants(pres)) for pres in members])
-        for members in groups.values()
+        EquivClass.of(pres, classical_invariants(pres))
+        for pres in enumerate_presentations(p, q, 0)
+        if nonvanishing_condition(pres)
     ]
     classes.sort(key=lambda c: (-c.invariants.rot, c.representative.to_json()))
     return tuple(classes)

@@ -178,6 +178,15 @@ def is_ambient_tight(pres: Presentation) -> bool:
     return False
 
 
+def leader_extremes(pres: Presentation) -> tuple[bool, bool]:
+    """(some chain leader fully positive, some chain leader fully negative)."""
+    tbs1, tbs2 = chains_for(pres.p, pres.q)
+    leaders = ((tbs1[0], pres.rots1[0]), (tbs2[0], pres.rots2[0]))
+    any_fp = any(is_fully_positive(rot, tb) for tb, rot in leaders)
+    any_fn = any(is_fully_negative(rot, tb) for tb, rot in leaders)
+    return any_fp, any_fn
+
+
 def nonvanishing_condition(pres: Presentation) -> bool:
     """Whether the unstabilized presentation has nonzero contact invariant.
 
@@ -188,7 +197,4 @@ def nonvanishing_condition(pres: Presentation) -> bool:
     """
     if pres.level != 0:
         raise ValueError("the nonvanishing condition applies to level 0")
-    tbs1, tbs2 = chains_for(pres.p, pres.q)
-    return not is_fully_negative(pres.rots1[0], tbs1[0]) and not is_fully_negative(
-        pres.rots2[0], tbs2[0]
-    )
+    return not leader_extremes(pres)[1]

@@ -29,7 +29,10 @@ The d3 we report is normalized by +1/2, making it 0 on the standard tight
 3-sphere.  For the d3 of contact (-1)-surgery on L, the extended matrix
 E = [[Q, lk], [lk^T, -2 - level]] is handled through the Schur complement
 s = -2 - level - lk^T Q^{-1} lk: <r', E^{-1} r'> = <r, Q^{-1} r> + rot^2 / s
-and sig(E) = sig(Q) + sign(s).
+and sig(E) = sig(Q) + sign(s).  As s = tb - 1 and E has one curve more, the
+surgered d3 is read off the knot's own invariants:
+
+    d3(surgered) = d3 - 1 + (rot^2 - 3 |s|) / (4 s)
 """
 
 import functools
@@ -112,44 +115,7 @@ def _kernel(p: int, q: int) -> _Kernel:
     return _Kernel(inverse, w, lk_norm, len(mat) - 2 * negative)
 
 
-def _four_d3(r_norm, sigma: int, curves: int):
-    """4 * ((r^T Q^{-1} r - 3 sig - 2 chi) / 4 + 2), chi = 1 + #curves."""
-    return r_norm - 3 * sigma - 2 * (1 + curves) + 8
-
-
 # ---- invariants
-
-
-def compute_tb(pres: Presentation) -> int:
-    return -1 - pres.level - _kernel(pres.p, pres.q).lk_norm
-
-
-def compute_rot(pres: Presentation) -> int:
-    w = _kernel(pres.p, pres.q).w
-    return pres.stab_pos - pres.stab_neg - _dot(rotation_vector(pres), w)
-
-
-def compute_d3(pres: Presentation) -> int:
-    """d3 of the ambient contact 3-sphere, normalized to 0 on the tight one."""
-    kernel = _kernel(pres.p, pres.q)
-    r = rotation_vector(pres)
-    four = _four_d3(kernel.r_norm(r), kernel.sigma, len(r)) + 2
-    if four % 4:
-        raise ArithmeticError(f"non-integral normalized d3 {Fraction(four, 4)} for {pres}")
-    return four // 4
-
-
-def d3_surgered(pres: Presentation) -> Fraction:
-    """Unnormalized d3 of the result of contact (-1)-surgery on the knot."""
-    kernel = _kernel(pres.p, pres.q)
-    r = rotation_vector(pres)
-    schur = -2 - pres.level - kernel.lk_norm
-    r_norm = kernel.r_norm(r) + Fraction(compute_rot(pres) ** 2, schur)
-    sigma = kernel.sigma + (1 if schur > 0 else -1)
-    return Fraction(_four_d3(r_norm, sigma, len(r) + 1), 4)
-
-
-# ---- bundled result
 
 
 @dataclass(frozen=True)
@@ -180,10 +146,24 @@ def bigrading(tb: int, rot: int, d3: int) -> tuple[int, int]:
 
 
 def classical_invariants(pres: Presentation) -> ClassicalInvariants:
-    tb = compute_tb(pres)
-    rot = compute_rot(pres)
-    d3 = compute_d3(pres)
+    """tb, rot and the normalized ambient d3 from one kernel lookup."""
+    kernel = _kernel(pres.p, pres.q)
+    r = rotation_vector(pres)
+    tb = -1 - pres.level - kernel.lk_norm
+    rot = pres.stab_pos - pres.stab_neg - _dot(r, kernel.w)
+    # 4 * d3: two (+1)-curves and the normalization give 4 * (2 + 1/2)
+    four = kernel.r_norm(r) - 3 * kernel.sigma - 2 * (1 + len(r)) + 10
+    if four % 4:
+        raise ArithmeticError(f"non-integral normalized d3 {Fraction(four, 4)} for {pres}")
+    d3 = four // 4
     return ClassicalInvariants(tb, rot, d3, *bigrading(tb, rot, d3))
+
+
+def d3_surgered(pres: Presentation) -> Fraction:
+    """Unnormalized d3 of the result of contact (-1)-surgery on the knot."""
+    inv = classical_invariants(pres)
+    s = inv.tb - 1
+    return inv.d3 - 1 + Fraction(inv.rot**2 - 3 * abs(s), 4 * s)
 
 
 # ---- smooth-topology oracle

@@ -33,9 +33,6 @@ class LensChain:
     framings: tuple[int, ...]
     rots: tuple[int, ...]
 
-    def to_dict(self) -> dict:
-        return {"framings": list(self.framings), "rots": list(self.rots)}
-
 
 @functools.lru_cache(maxsize=None)
 def _lens_entries(p: int, q: int) -> tuple[int, ...]:

@@ -6,12 +6,26 @@ the staircase and two columns of its differential per tower, where the
 oracles here take ranks over F_2 and the Smith normal form over F_2[U].
 """
 
+import functools
 import heapq
+import math
 from fractions import Fraction
 
 from legknots.cf import VerificationError
-from legknots.invariants import _linking, rotation_vector
+from legknots.classify import _class_key
+from legknots.diagram import Presentation, enumerate_presentations, nonvanishing_condition
+from legknots.invariants import _bordered, _linking, classical_invariants, rotation_vector
 from legknots.linalg import det_bareiss
+
+
+def coprime_pairs(max_product: int) -> list[tuple[int, int]]:
+    """All (p, q) with 2 <= p < q, gcd 1 and pq <= max_product."""
+    return [
+        (p, q)
+        for q in range(3, max_product // 2 + 1)
+        for p in range(2, q)
+        if p * q <= max_product and math.gcd(p, q) == 1
+    ]
 
 
 def eval_neg_cf(entries) -> Fraction:
@@ -24,10 +38,10 @@ def eval_neg_cf(entries) -> Fraction:
     return x
 
 
-def solve_fraction(mat, rhs) -> list[Fraction]:
-    """Solve mat @ x == rhs exactly by Gauss-Jordan elimination."""
+def _gauss_jordan(mat, rhs_rows) -> list[list[Fraction]]:
+    """Reduce [mat | rhs] exactly; returns X with mat @ X == rhs."""
     n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(mat, rhs)]
+    a = [[Fraction(x) for x in row] + [Fraction(v) for v in rhs] for row, rhs in zip(mat, rhs_rows)]
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][k] != 0), None)
         if piv is None:
@@ -39,7 +53,12 @@ def solve_fraction(mat, rhs) -> list[Fraction]:
             if i != k and a[i][k]:
                 f = a[i][k]
                 a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [a[i][n] for i in range(n)]
+    return [row[n:] for row in a]
+
+
+def solve_fraction(mat, rhs) -> list[Fraction]:
+    """Solve mat @ x == rhs exactly by Gauss-Jordan elimination."""
+    return [x for (x,) in _gauss_jordan(mat, [[v] for v in rhs])]
 
 
 def signature_symmetric(mat) -> int:
@@ -86,27 +105,76 @@ def signature_symmetric(mat) -> int:
     return sig
 
 
-def _d3_terms(mat, r):
-    """(<r, mat^-1 r> - 3 sig - 2 chi) / 4 + 2, by a Fraction solve."""
-    csq = sum(ri * xi for ri, xi in zip(r, solve_fraction(mat, r)))
-    return (csq - 3 * signature_symmetric(mat) - 2 * (1 + len(mat))) / 4 + 2
+@functools.lru_cache(maxsize=None)
+def _solved(p: int, q: int, corner: int | None):
+    """(N, D, sig) for the linking matrix Q of T(p, -q) or, given a corner,
+    Q extended by the knot's row and column: the inverse is N / D, by one
+    Gauss-Jordan elimination against the identity over the rationals, and
+    sig is the signature by congruence.  None of it reads the rotations, so
+    it is solved once per knot and corner."""
+    mat, lk = _linking(p, q)
+    if corner is not None:
+        mat = _bordered(mat, lk, corner)
+    n = len(mat)
+    inverse = _gauss_jordan(mat, [[int(i == j) for j in range(n)] for i in range(n)])
+    den = math.lcm(*(x.denominator for row in inverse for x in row))
+    num = tuple(tuple(int(x * den) for x in row) for row in inverse)
+    return num, den, signature_symmetric(mat)
+
+
+def _d3_terms(p, q, corner, r) -> Fraction:
+    """(<r, M^-1 r> - 3 sig(M) - 2 chi) / 4 + 2 for M = Q or its extension."""
+    num, den, sig = _solved(p, q, corner)
+    csq = Fraction(sum(ri * sum(a * rj for a, rj in zip(row, r)) for ri, row in zip(r, num)), den)
+    return (csq - 3 * sig - 2 * (1 + len(r))) / 4 + 2
+
+
+@functools.lru_cache(maxsize=None)
+def _tb_ratio(p: int, q: int) -> Fraction:
+    """det(Q_0) / det(Q), Q_0 the extension of Q with a 0 corner."""
+    mat, lk = _linking(p, q)
+    return Fraction(det_bareiss(_bordered(mat, lk, 0)), det_bareiss(mat))
 
 
 def invariants_oracle(pres):
-    """tb, rot, d3 and surgered d3 from the determinant ratio and Fraction
-    solves on each presentation's own matrices."""
-    mat, lk = _linking(pres.p, pres.q)
+    """tb, rot, d3 and surgered d3 from the determinant ratio and exact
+    inverses of the linking matrix and of the extended matrix of the
+    surgery on the knot."""
+    p, q = pres.p, pres.q
+    _, lk = _linking(p, q)
     r = rotation_vector(pres)
     rot0 = pres.stab_pos - pres.stab_neg
-
-    def bordered(corner):
-        return [row + [l] for row, l in zip(mat, lk)] + [lk + [corner]]
-
-    tb = -1 - pres.level + Fraction(det_bareiss(bordered(0)), det_bareiss(mat))
-    rot = rot0 - sum(ri * xi for ri, xi in zip(r, solve_fraction(mat, lk)))
-    d3 = _d3_terms(mat, r) + Fraction(1, 2)
-    surgered = _d3_terms(bordered(-2 - pres.level), r + [rot0])
+    num, den, _ = _solved(p, q, None)
+    tb = -1 - pres.level + _tb_ratio(p, q)
+    rot = rot0 - Fraction(sum(ri * sum(a * l for a, l in zip(row, lk)) for ri, row in zip(r, num)), den)
+    d3 = _d3_terms(p, q, None, r) + Fraction(1, 2)
+    surgered = _d3_terms(p, q, -2 - pres.level, r + [rot0])
     return tb, rot, d3, surgered
+
+
+def class_partition(p: int, q: int, level: int) -> dict[Presentation, tuple[Presentation, ...]]:
+    """The level-`level` presentations of T(p, -q) grouped by class key,
+    keyed by representative: each class's members sorted by to_json(), the
+    first of them its representative."""
+    groups: dict = {}
+    for pres in enumerate_presentations(p, q, level):
+        groups.setdefault(_class_key(pres, classical_invariants(pres)), []).append(pres)
+    members = (tuple(sorted(group, key=Presentation.to_json)) for group in groups.values())
+    return {group[0]: group for group in members}
+
+
+def transverse_partition(p: int, q: int) -> list[tuple[Presentation, ...]]:
+    """The level-0 presentations of T(p, -q) with nonzero invariant, grouped
+    by the class of their q-fold negative stabilization: each group's members
+    sorted by to_json(), the groups by descending rot of their first member
+    and then its to_json()."""
+    groups: dict = {}
+    for pres in enumerate_presentations(p, q, 0):
+        if nonvanishing_condition(pres):
+            stabilized = pres.stabilize(neg=q)
+            groups.setdefault(_class_key(stabilized, classical_invariants(stabilized)), []).append(pres)
+    members = [tuple(sorted(group, key=Presentation.to_json)) for group in groups.values()]
+    return sorted(members, key=lambda g: (-classical_invariants(g[0]).rot, g[0].to_json()))
 
 
 def _f2_rank(rows: list[int]) -> int:

@@ -16,11 +16,17 @@ from legknots.diagram import (
     nonvanishing_condition,
 )
 from legknots.invariants import classical_invariants
+from oracles import class_partition, coprime_pairs, transverse_partition
 
 
 def _class_index(p, q, level):
     """Presentation -> its class in the level-`level` partition."""
-    return {pres: cls for cls in classify_level(p, q, level) for pres in cls.members}
+    partition = class_partition(p, q, level)
+    return {
+        pres: cls
+        for cls in classify_level(p, q, level)
+        for pres in partition[cls.representative]
+    }
 
 
 # ---- verdicts
@@ -54,14 +60,23 @@ def test_classify_level_partitions_everything():
         classes = classify_level(3, 4, level)
         total = sum(cls.size for cls in classes)
         assert total == len(list(enumerate_presentations(3, 4, level)))
-        members = [pres for cls in classes for pres in cls.members]
+        partition = class_partition(3, 4, level)
+        members = [pres for cls in classes for pres in partition[cls.representative]]
         assert len(set(members)) == total
 
 
 def test_classes_share_invariants():
+    partition = class_partition(2, 5, 2)
     for cls in classify_level(2, 5, 2):
-        invs = {(i.tb, i.rot, i.d3) for i in map(classical_invariants, cls.members)}
+        invs = {(i.tb, i.rot, i.d3) for i in map(classical_invariants, partition[cls.representative])}
         assert len(invs) == 1
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 4), (3, 5), (5, 8)])
+def test_classify_level_matches_partition_oracle(p, q):
+    for level in range(5):
+        got = {cls.representative: cls.size for cls in classify_level(p, q, level)}
+        assert got == {rep: len(members) for rep, members in class_partition(p, q, level).items()}
 
 
 def test_tight_classes_merge_by_rotation():
@@ -83,10 +98,11 @@ def test_ambient_tight_counts():
 
 def test_conjugation_acts_on_classes():
     index = _class_index(3, 5, 1)
+    partition = class_partition(3, 5, 1)
     for cls in classify_level(3, 5, 1):
-        image = {pres.conjugate() for pres in cls.members}
+        image = {pres.conjugate() for pres in partition[cls.representative]}
         partner = index[next(iter(image))]
-        assert image == set(partner.members)
+        assert image == set(partition[partner.representative])
         assert partner.invariants.rot == -cls.invariants.rot
         assert partner.invariants.d3 == cls.invariants.d3
 
@@ -111,6 +127,27 @@ def test_transverse_classes_are_singleton_nonvanishing():
         for cls in classes:
             assert cls.strongly_nonloose and cls.transverse and not cls.loose
             assert not is_ambient_tight(cls.representative)
+
+
+def test_transverse_classes_match_stabilized_grouping():
+    # grouping by the class of the q-fold negative stabilization merges
+    # nothing, and one class per presentation reproduces it exactly
+    for p, q in coprime_pairs(120):
+        groups = transverse_partition(p, q)
+        assert all(len(group) == 1 for group in groups)
+        classes = transverse_classes(p, q)
+        assert [cls.representative for cls in classes] == [group[0] for group in groups]
+        for cls in classes:
+            rep = cls.representative
+            verdict = looseness_verdict(rep)
+            assert cls.size == 1
+            assert cls.invariants == classical_invariants(rep)
+            assert (cls.ambient_tight, cls.loose, cls.strongly_nonloose, cls.transverse) == (
+                verdict == "tight",
+                verdict == "loose",
+                verdict == "strongly_nonloose",
+                verdict == "strongly_nonloose",
+            )
 
 
 def test_transverse_t58_locations():

@@ -17,15 +17,12 @@ from legknots.invariants import (
     _linking,
     bigrading,
     classical_invariants,
-    compute_d3,
-    compute_rot,
-    compute_tb,
     d3_surgered,
     rotation_vector,
     validate_smooth_topology,
 )
 from legknots.linalg import det_bareiss
-from oracles import invariants_oracle
+from oracles import coprime_pairs, invariants_oracle
 
 
 def _all_fully_positive(p, q):
@@ -60,31 +57,31 @@ def test_ambient_is_a_homology_sphere():
 
 
 def test_tb_examples():
-    assert compute_tb(Presentation(2, 3, (1,), (1, 0))) == -6
-    assert compute_tb(Presentation(2, 3, (1,), (1, 0), 2, 1)) == -9
-    assert compute_tb(_all_fully_positive(5, 8)) == -40
+    assert classical_invariants(Presentation(2, 3, (1,), (1, 0))).tb == -6
+    assert classical_invariants(Presentation(2, 3, (1,), (1, 0), 2, 1)).tb == -9
+    assert classical_invariants(_all_fully_positive(5, 8)).tb == -40
 
 
 def test_tb_formula_small_sweep():
     for p, q in ((2, 5), (3, 4), (3, 5)):
         for level in range(3):
             for pres in enumerate_presentations(p, q, level):
-                assert compute_tb(pres) == -p * q - level
+                assert classical_invariants(pres).tb == -p * q - level
 
 
 # ---- rot
 
 
 def test_rot_examples():
-    assert compute_rot(_all_fully_positive(2, 3)) == -7
-    assert compute_rot(_all_fully_positive(5, 8)) == -67
-    assert compute_rot(Presentation(2, 3, (1,), (-1, 0))) == 1
-    assert compute_rot(Presentation(2, 3, (-1,), (1, 0))) == -1
+    assert classical_invariants(_all_fully_positive(2, 3)).rot == -7
+    assert classical_invariants(_all_fully_positive(5, 8)).rot == -67
+    assert classical_invariants(Presentation(2, 3, (1,), (-1, 0))).rot == 1
+    assert classical_invariants(Presentation(2, 3, (-1,), (1, 0))).rot == -1
 
 
 def test_rot_negates_under_conjugation():
     for pres in enumerate_presentations(3, 4, 1):
-        assert compute_rot(pres.conjugate()) == -compute_rot(pres)
+        assert classical_invariants(pres.conjugate()).rot == -classical_invariants(pres).rot
 
 
 def test_balanced_rot_values():
@@ -98,7 +95,7 @@ def test_balanced_rot_values():
     }
     for (p, q), rots in expected.items():
         got = {
-            compute_rot(pres)
+            classical_invariants(pres).rot
             for pres in enumerate_presentations(p, q, 0)
             if is_ambient_tight(pres)
         }
@@ -112,22 +109,22 @@ def test_d3_balanced_is_zero():
     for p, q in ((2, 3), (2, 5), (3, 4), (5, 8)):
         for pres in enumerate_presentations(p, q, 0):
             if is_ambient_tight(pres):
-                assert compute_d3(pres) == 0
+                assert classical_invariants(pres).d3 == 0
 
 
 def test_d3_examples():
-    assert compute_d3(Presentation(2, 3, (1,), (1, 0))) == 2
-    assert compute_d3(_all_fully_positive(5, 8)) == 28
+    assert classical_invariants(Presentation(2, 3, (1,), (1, 0))).d3 == 2
+    assert classical_invariants(_all_fully_positive(5, 8)).d3 == 28
 
 
 def test_d3_invariant_under_conjugation():
     for pres in enumerate_presentations(3, 5, 0):
-        assert compute_d3(pres.conjugate()) == compute_d3(pres)
+        assert classical_invariants(pres.conjugate()).d3 == classical_invariants(pres).d3
 
 
 def test_d3_of_58_nonvanishing_presentations():
     got = sorted(
-        compute_d3(pres)
+        classical_invariants(pres).d3
         for pres in enumerate_presentations(5, 8, 0)
         if nonvanishing_condition(pres)
     )
@@ -199,6 +196,13 @@ def test_kernel_matches_fraction_oracle(p, q):
             assert (inv.tb, inv.rot, inv.d3) == (tb, rot, d3)
             assert bigrading(tb, rot, d3) == (inv.alexander, inv.maslov)
             assert d3_surgered(pres) == surgered
+
+
+def test_d3_surgered_sweep_matches_fraction_oracle():
+    for p, q in coprime_pairs(60):
+        for level in range(3):
+            for pres in enumerate_presentations(p, q, level):
+                assert d3_surgered(pres) == invariants_oracle(pres)[3]
 
 
 def test_expansions_run_once_per_knot(monkeypatch):

@@ -5,7 +5,6 @@ json.dumps."""
 import contextlib
 import io
 import json
-import math
 from fractions import Fraction
 
 import pytest
@@ -17,20 +16,11 @@ from hypothesis import strategies as st  # noqa: E402
 from legknots.cli import _render, main  # noqa: E402
 from legknots.diagram import Presentation, chains_for, rotation_range  # noqa: E402
 from legknots.invariants import classical_invariants, d3_surgered  # noqa: E402
-from oracles import invariants_oracle  # noqa: E402
-
-
-def _pairs(max_product):
-    return [
-        (p, q)
-        for q in range(3, max_product // 2 + 1)
-        for p in range(2, q)
-        if p * q <= max_product and math.gcd(p, q) == 1
-    ]
+from oracles import coprime_pairs, invariants_oracle  # noqa: E402
 
 
 @st.composite
-def presentations(draw, pairs=_pairs(60)):
+def presentations(draw, pairs=coprime_pairs(60)):
     p, q = draw(st.sampled_from(pairs))
     level = draw(st.integers(0, 3))
     pos = draw(st.integers(0, level))
@@ -49,7 +39,7 @@ def test_conjugation_symmetry(pres):
 
 
 @settings(max_examples=150, deadline=None)
-@given(presentations(_pairs(200)))
+@given(presentations(coprime_pairs(200)))
 def test_kernel_matches_fraction_oracle(pres):
     tb, rot, d3, surgered = invariants_oracle(pres)
     inv = classical_invariants(pres)
