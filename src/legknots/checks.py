@@ -58,16 +58,20 @@ def check_tb_contract():
     """tb == -pq - level for pq <= 120 and level <= 5.
 
     The determinant ratio in the tb formula never reads the rotation
-    numbers, so three sampled presentations per (pair, level) cover all.
+    numbers, so three sampled presentations per (pair, level) cover all:
+    the first, middle and last, found through the rotation vectors.
     """
     start = _clock()
     pairs = _coprime_pairs(max_product=120)
     checked = 0
     for p, q in pairs:
         for level in range(6):
-            population = list(diagram.enumerate_presentations(p, q, level))
-            for idx in sorted({0, len(population) // 2, len(population) - 1}):
-                if invariants.classical_invariants(population[idx]).tb != -p * q - level:
+            vectors = list(diagram.rotation_vectors(p, q, level))
+            count = len(vectors) * (level + 1)
+            for idx in sorted({0, count // 2, count - 1}):
+                pos = idx % (level + 1)
+                pres = diagram.Presentation(p, q, *vectors[idx // (level + 1)], pos, level - pos)
+                if invariants.classical_invariants(pres).tb != -p * q - level:
                     return False, f"tb mismatch for T({p}, -{q}) at level {level}"
                 checked += 1
     elapsed = _clock() - start

@@ -35,13 +35,13 @@ from .diagram import (
     nonvanishing_condition,
     validate_presentation,
 )
-from .invariants import ClassicalInvariants, classical_invariants
+from .invariants import ClassicalInvariants, classical_invariants, presentations_with_invariants
 
 
 # ---- verdicts
 
 
-def looseness_verdict(pres: Presentation) -> str:
+def looseness_verdict(pres: Presentation, shape=None) -> str:
     """One of "tight", "strongly_nonloose", "loose".
 
     "tight" refers to the ambient structure (the knot is an ordinary
@@ -49,10 +49,11 @@ def looseness_verdict(pres: Presentation) -> str:
     A knot stabilized only negatively survives as strongly non-loose iff no
     leader is fully negative; mirrored for positive; a knot stabilized in
     both signs is loose, as is any knot whose leaders exhaust both extremes.
+    `shape` is (is_ambient_tight, leader_extremes), which read rotations only.
     """
-    if is_ambient_tight(pres):
+    tight, (any_fp, any_fn) = shape or (is_ambient_tight(pres), leader_extremes(pres))
+    if tight:
         return "tight"
-    any_fp, any_fn = leader_extremes(pres)
     if pres.stab_pos == 0 and not any_fn:
         return "strongly_nonloose"
     if pres.stab_neg == 0 and not any_fp:
@@ -60,8 +61,8 @@ def looseness_verdict(pres: Presentation) -> str:
     return "loose"
 
 
-def _class_key(pres: Presentation, inv: ClassicalInvariants):
-    verdict = looseness_verdict(pres)
+def _class_key(pres: Presentation, inv: ClassicalInvariants, shape=None):
+    verdict = looseness_verdict(pres, shape)
     if verdict == "tight":
         return ("tight", inv.rot)
     if verdict == "strongly_nonloose":
@@ -83,13 +84,16 @@ class EquivClass:
     invariants: ClassicalInvariants
 
     @classmethod
-    def of(cls, rep: Presentation, inv: ClassicalInvariants, size: int = 1) -> "EquivClass":
+    def of(
+        cls, rep: Presentation, inv: ClassicalInvariants, size: int = 1, shape=None
+    ) -> "EquivClass":
         """The class of `size` members represented by `rep`; it is transverse
         when it survives every further negative stabilization as strongly
         non-loose."""
-        verdict = looseness_verdict(rep)
+        shape = shape or (is_ambient_tight(rep), leader_extremes(rep))
+        verdict = looseness_verdict(rep, shape)
         snl = verdict == "strongly_nonloose"
-        transverse = snl and rep.stab_pos == 0 and not leader_extremes(rep)[1]
+        transverse = snl and rep.stab_pos == 0 and not shape[1][1]
         return cls(size, rep, verdict == "tight", verdict == "loose", snl, transverse, inv)
 
     def to_dict(self) -> dict:
@@ -108,26 +112,25 @@ class EquivClass:
 
 @functools.lru_cache(maxsize=None)
 def classify_level(p: int, q: int, level: int) -> tuple[EquivClass, ...]:
-    """Partition all level-`level` presentations of T(p, -q) into classes."""
-    buckets: dict = {}  # class key -> [size, least to_json(), its presentation, invariants]
-    for pres in enumerate_presentations(p, q, level):
-        inv = classical_invariants(pres)
-        text = pres.to_json()
-        bucket = buckets.setdefault(_class_key(pres, inv), [0, text, pres, inv])
+    """Partition all level-`level` presentations of T(p, -q) into classes,
+    reading the kernel and the leader shape once per rotation vector; a
+    member's to_json() is its vector's JSON prefix plus its two counts."""
+    buckets: dict = {}  # class key -> [size, least to_json(), its presentation, invariants, shape]
+    for pres, inv in presentations_with_invariants(p, q, level):
+        if pres.stab_pos == 0:  # a new rotation vector
+            prefix = pres.to_json().rpartition('"stab_neg"')[0]
+            shape = is_ambient_tight(pres), leader_extremes(pres)
+        text = f'{prefix}"stab_neg": {pres.stab_neg}, "stab_pos": {pres.stab_pos}}}'
+        bucket = buckets.setdefault(_class_key(pres, inv, shape), [0, text, pres, inv, shape])
         bucket[0] += 1
         if text < bucket[1]:
-            bucket[1:] = text, pres, inv
-    classes = [EquivClass.of(pres, inv, size) for size, _, pres, inv in buckets.values()]
-    classes.sort(  # tight, then strongly non-loose, then loose
-        key=lambda c: (
-            not c.ambient_tight,
-            c.loose,
-            -c.invariants.rot,
-            c.invariants.d3,
-            c.representative.to_json(),
-        )
-    )
-    return tuple(classes)
+            bucket[1:] = text, pres, inv, shape
+    ranked = []  # (sort key, class); no two keys are equal, as no two texts are
+    for size, text, pres, inv, shape in buckets.values():
+        cls = EquivClass.of(pres, inv, size, shape)
+        ranked.append(((not cls.ambient_tight, cls.loose, -inv.rot, inv.d3, text), cls))
+    ranked.sort(key=lambda pair: pair[0])  # tight, then strongly non-loose, then loose
+    return tuple(cls for _, cls in ranked)
 
 
 def ambient_tight_class_count(p: int, q: int, level: int) -> int:

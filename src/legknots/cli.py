@@ -22,9 +22,9 @@ from .cf import (
 )
 from .checks import check_names, run_all
 from .classify import classify_level, transverse_classes
-from .diagram import chain_tbs, enumerate_presentations
+from .diagram import chain_tbs
 from .floer import hfk_minus, match_invariants
-from .invariants import classical_invariants
+from .invariants import presentations_with_invariants
 from .lens import surjectivity_check
 
 _INFINITY = float("inf")
@@ -175,8 +175,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    presentations = enumerate_presentations(args.p, args.q, args.level)
-    found = [(pres, classical_invariants(pres)) for pres in presentations]
+    found = list(presentations_with_invariants(args.p, args.q, args.level))
     items = [{"presentation": pres.to_dict(), "invariants": inv.to_dict()} for pres, inv in found]
     payload = {"p": args.p, "q": args.q, "level": args.level, "presentations": items}
     _emit(args, payload, lambda: [

@@ -25,6 +25,13 @@ the chains first no D_k is 0: the chain block is negative definite, the
 first (+1)-curve borders it with a nonzero column, and D_m = det Q = +-1.
 The kernel checks its tb against the determinant ratio det(Q_0) / det(Q)
 (Q_0: extend Q by L with a 0 slot), an independent route.
+At a fixed level only rot_0 sees the split (stab_pos, stab_neg), so one
+kernel read at (0, level) serves every split of a rotation vector:
+
+    at (pos, level - pos):  tb, rot + 2 pos, d3, A - pos, M - 2 pos
+
+(tb and d3 stay; a positive stabilization in place of a negative one acts
+as U on the bigrading).
 The d3 we report is normalized by +1/2, making it 0 on the standard tight
 3-sphere.  For the d3 of contact (-1)-surgery on L, the extended matrix
 E = [[Q, lk], [lk^T, -2 - level]] is handled through the Schur complement
@@ -40,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cf import _continuant, complementary_expansions, merged_lens_entries, torus_knot_params
-from .diagram import Presentation, chains_for
+from .diagram import Presentation, chains_for, enumerate_presentations
 from .linalg import adjugate, det_bareiss
 
 
@@ -157,6 +164,18 @@ def classical_invariants(pres: Presentation) -> ClassicalInvariants:
         raise ArithmeticError(f"non-integral normalized d3 {Fraction(four, 4)} for {pres}")
     d3 = four // 4
     return ClassicalInvariants(tb, rot, d3, *bigrading(tb, rot, d3))
+
+
+def presentations_with_invariants(p: int, q: int, level: int):
+    """(pres, classical_invariants(pres)) over enumerate_presentations, the
+    kernel read once per rotation vector and shifted to the other splits."""
+    for pres in enumerate_presentations(p, q, level):
+        pos = pres.stab_pos
+        if pos == 0:  # a new rotation vector
+            base = classical_invariants(pres)
+        yield pres, ClassicalInvariants(
+            base.tb, base.rot + 2 * pos, base.d3, base.alexander - pos, base.maslov - 2 * pos
+        )
 
 
 def d3_surgered(pres: Presentation) -> Fraction:

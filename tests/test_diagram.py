@@ -63,6 +63,15 @@ def test_enumeration_counts():
 
 
 def test_enumeration_refuses_oversized_requests(monkeypatch):
+    # the largest admitted T(2, -3) request, 4 * 20000 presentations, peaks at
+    # 424 MB with --json (see diagram.MAX_PRESENTATIONS)
+    assert diagram.MAX_PRESENTATIONS == 80_000
+    assert next(enumerate_presentations(2, 3, 19999)).level == 19999
+    message = "80004 presentations at level 20000, more than the limit of 80000"
+    with pytest.raises(ValueError, match=message):
+        diagram.rotation_vectors(2, 3, 20000)  # refused on the call, before any work
+    with pytest.raises(ValueError, match=message):
+        next(enumerate_presentations(2, 3, 20000))
     # T(2, -3) at level 2 has 4 * 3 = 12 presentations
     monkeypatch.setattr(diagram, "MAX_PRESENTATIONS", 12)
     assert len(list(enumerate_presentations(2, 3, 2))) == 12

@@ -21,6 +21,16 @@ JSON_DIGESTS = {
     ("lens", "3", "4"): "5d4f8f42d4abe9f98d62e45fd272d65b7df7ce8ccf91b537ae9f4456532a832c",
     ("match", "5", "8"): "57853dea61e822b70b3cb7027cb5fa5739bcf76d8ba72104640d08855c7963f0",
     ("cf", "17", "5"): "991282775448a737d3ceaaa58291d0e3459a158fc7fdcf6db9a0a58cf935f4b3",
+    ("enumerate", "5", "8", "--level", "3"): (
+        "948749a65896545826921250e9a54bc7da7c3a6e3841c4357ecbcfffc4fa6a45"
+    ),
+    ("classify", "5", "8", "--level", "4"): (
+        "7ab9d3b9de40238e7e8c0dccaf83578e8c0c3a697a0d94cd508cdcdaaa021b79"
+    ),
+    # two-digit stabilization counts: '"stab_neg": 10' sorts before '"stab_neg": 9'
+    ("classify", "2", "5", "--level", "12"): (
+        "e74e69d5f2fb0bf235eaf64f9ef31ed30e74103192e9ab7a578d6ac44e66ed29"
+    ),
 }
 
 TEXT_DIGESTS = {
@@ -36,6 +46,15 @@ TEXT_DIGESTS = {
     ("lens", "3", "4"): "7dfd60f66227ff431a3d490350d88aa38075d42402e97374847431d05ce79524",
     ("match", "5", "8"): "b9501a566bb54940bd4dc18b4d92625dfa71291b5c9709b0d558de06fcca4681",
     ("cf", "17", "5"): "dec0aed0830b95c05aa563111118e66fa40a5361769880b2a52f5058ca3dfe44",
+    ("enumerate", "5", "8", "--level", "3"): (
+        "70671900745b3c4e105b46bfe01247deceb84ad9b9baab0c1790c2cbc9ef65ac"
+    ),
+    ("classify", "5", "8", "--level", "4"): (
+        "5fc157b0097bb65d8303e172fd52f5740bfcbe58ea73f87a54c310aa9f642c65"
+    ),
+    ("classify", "2", "5", "--level", "12"): (
+        "16e948ddadd88d1b996f4ac7c64650b69861a6a9d52c2aeac690813a92316561"
+    ),
 }
 
 PUBLIC_NAMES = [

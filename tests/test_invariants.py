@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from legknots import classify, diagram
+from legknots import checks, classify, cli, diagram, invariants
 from legknots.diagram import (
     Presentation,
     chains_for,
@@ -18,6 +18,7 @@ from legknots.invariants import (
     bigrading,
     classical_invariants,
     d3_surgered,
+    presentations_with_invariants,
     rotation_vector,
     validate_smooth_topology,
 )
@@ -222,3 +223,57 @@ def test_expansions_run_once_per_knot(monkeypatch):
         diagram.chains_for.cache_clear()
         classify.classify_level.cache_clear()
     assert calls == [(5, 8)]
+
+
+# ---- one kernel read per rotation vector
+
+
+def test_shifted_invariants_match_direct_evaluation():
+    for p, q in coprime_pairs(60):
+        for level in range(5):
+            population = enumerate_presentations(p, q, level)
+            direct = [(pres, classical_invariants(pres)) for pres in population]
+            assert list(presentations_with_invariants(p, q, level)) == direct
+
+
+def _count_evaluations(monkeypatch):
+    calls = []
+    real = invariants.classical_invariants
+
+    def counted(pres):
+        calls.append(pres)
+        return real(pres)
+
+    monkeypatch.setattr(invariants, "classical_invariants", counted)
+    return calls
+
+
+def test_classify_reads_kernel_once_per_rotation_vector(monkeypatch):
+    calls = _count_evaluations(monkeypatch)
+    classify.classify_level.cache_clear()
+    try:
+        classes = classify.classify_level(5, 8, 3)
+    finally:
+        classify.classify_level.cache_clear()
+    assert sum(cls.size for cls in classes) == 48
+    assert len(calls) == 12
+    assert all((pres.stab_pos, pres.stab_neg) == (0, 3) for pres in calls)
+
+
+def test_enumerate_reads_kernel_once_per_rotation_vector(monkeypatch):
+    calls = _count_evaluations(monkeypatch)
+    assert cli.main(["enumerate", "5", "8", "--level", "3", "--quiet"]) == 0
+    assert len(calls) == 12
+
+
+def test_tb_contract_samples_first_middle_and_last(monkeypatch):
+    calls = _count_evaluations(monkeypatch)
+    assert checks.check_tb_contract()[0]
+    expected = []
+    for p, q in coprime_pairs(120):
+        for level in range(6):
+            population = list(enumerate_presentations(p, q, level))
+            n = len(population)
+            expected += [population[idx] for idx in sorted({0, n // 2, n - 1})]
+    assert len(expected) == 1890
+    assert calls == expected
