@@ -62,14 +62,12 @@ def _continuant(entries) -> tuple[int, int]:
 
 
 def honda_count(u: int, v: int) -> int:
-    """Number of tight contact structures on the lens space L(u, v).
+    """Number of tight contact structures on L(u, v), coprime u > v >= 1.
 
     Computed as prod(a_i - 1) over the negative continued fraction of u/v
     (Honda's count).  Invariant under v <-> v^{-1} mod u, since inverting v
     reverses the expansion.
     """
-    if not (u > v >= 1) or gcd(u, v) != 1:
-        raise ValueError(f"need coprime u > v >= 1, got ({u}, {v})")
     count = 1
     for a in neg_cf(u, v):
         count *= a - 1

@@ -86,31 +86,29 @@ def check_smooth_topology():
     """Diagrams present S3; level-0 surgeries give L(pq+1, p^2) up to inversion."""
     pairs = _coprime_pairs(max_product=120)
     for p, q in pairs:
-        pres = next(iter(diagram.enumerate_presentations(p, q, 0)))
-        report = invariants.validate_smooth_topology(pres)
+        report = invariants.validate_smooth_topology(p, q)
         if not report["ok"]:
             return False, f"smooth-topology oracle failed: {report}"
     return True, f"ambient determinant, surgered H1 and lens type verified on {len(pairs)} pairs (pq <= 120)"
 
 
+# The paper's families: each one's transverse-counts detail, then its knots
+# as (p, q, transverse classes, torsion orders of HFK-minus).
+_FAMILIES = (
+    ("T(2, -(2n-1)) = n-1 for n = 2..10", tuple((2, 2 * n - 1, n - 1, (1,) * (n - 1)) for n in range(2, 11))),
+    ("T(n, -(n+1)) = n-1 for n = 2..8", tuple((n, n + 1, n - 1, tuple(range(1, n))) for n in range(2, 9))),
+    ("T(5, -8) = 4", ((5, 8, 4, (1, 1, 1, 1, 1, 1, 2, 2, 4)),)),
+)
+
+
 def check_transverse_counts():
     """Strongly non-loose transverse counts across the two families and T(5, -8)."""
-    lines = []
-    for n in range(2, 11):
-        got = len(classify.transverse_classes(2, 2 * n - 1))
-        if got != n - 1:
-            return False, f"T(2, -{2 * n - 1}): {got} transverse classes, expected {n - 1}"
-    lines.append("T(2, -(2n-1)) = n-1 for n = 2..10")
-    for n in range(2, 9):
-        got = len(classify.transverse_classes(n, n + 1))
-        if got != n - 1:
-            return False, f"T({n}, -{n + 1}): {got} transverse classes, expected {n - 1}"
-    lines.append("T(n, -(n+1)) = n-1 for n = 2..8")
-    got = len(classify.transverse_classes(5, 8))
-    if got != 4:
-        return False, f"T(5, -8): {got} transverse classes, expected 4"
-    lines.append("T(5, -8) = 4")
-    return True, "; ".join(lines)
+    for _, knots in _FAMILIES:
+        for p, q, count, _ in knots:
+            got = len(classify.transverse_classes(p, q))
+            if got != count:
+                return False, f"T({p}, -{q}): {got} transverse classes, expected {count}"
+    return True, "; ".join(line for line, _ in _FAMILIES)
 
 
 def check_t58_locations():
@@ -130,17 +128,11 @@ def check_hfk_towers():
     on every pair with q <= 30.  The detail keeps the words "three-way
     agreement", which the stored answers in bench/reference.json compare."""
     start = _clock()
-    for n in range(2, 11):
-        got = floer.hfk_minus(2, 2 * n - 1).finite_orders()
-        if got != (1,) * (n - 1):
-            return False, f"T(2, {2 * n - 1}) torsion orders {got}"
-    for n in range(2, 9):
-        got = floer.hfk_minus(n, n + 1).finite_orders()
-        if got != tuple(range(1, n)):
-            return False, f"T({n}, {n + 1}) torsion orders {got}"
-    got = floer.hfk_minus(5, 8).finite_orders()
-    if got != (1, 1, 1, 1, 1, 1, 2, 2, 4):
-        return False, f"T(5, 8) torsion orders {got}"
+    for _, knots in _FAMILIES:
+        for p, q, _, orders in knots:
+            got = floer.hfk_minus(p, q).finite_orders()
+            if got != orders:
+                return False, f"T({p}, {q}) torsion orders {got}"
     pairs = _coprime_pairs(max_q=30)
     for p, q in pairs:
         floer.hfk_minus(p, q)  # raises unless the towers match d and the closed form

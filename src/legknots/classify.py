@@ -13,7 +13,7 @@ the knot's stabilizations:
     classical invariants (rot, d3).
 
 A class is kept as its size, its representative (the member with the least
-to_json()) and the representative's invariants, which every member shares.
+_rotation_key) and the representative's invariants, which every member shares.
 
 Transverse classes are the level-0 presentations with nonzero invariant
 (neither leader fully negative), one class each.  Two of them would be the
@@ -110,25 +110,30 @@ class EquivClass:
         }
 
 
+def _rotation_key(pres: Presentation) -> str:
+    """Orders presentations of one knot as their JSON text does: the two texts
+    first differ inside rots1, or else inside rots2."""
+    return f"{list(pres.rots1)}{list(pres.rots2)}"
+
+
 @functools.lru_cache(maxsize=None)
 def classify_level(p: int, q: int, level: int) -> tuple[EquivClass, ...]:
     """Partition all level-`level` presentations of T(p, -q) into classes,
-    reading the kernel and the leader shape once per rotation vector; a
-    member's to_json() is its vector's JSON prefix plus its two counts."""
-    buckets: dict = {}  # class key -> [size, least to_json(), its presentation, invariants, shape]
+    reading the kernel, the leader shape and the rotation key once per
+    rotation vector: no class holds two members of one (their rot differs)."""
+    buckets: dict = {}  # class key -> [size, least rotation key, its presentation, invariants, shape]
     for pres, inv in presentations_with_invariants(p, q, level):
         if pres.stab_pos == 0:  # a new rotation vector
-            prefix = pres.to_json().rpartition('"stab_neg"')[0]
+            key = _rotation_key(pres)
             shape = is_ambient_tight(pres), leader_extremes(pres)
-        text = f'{prefix}"stab_neg": {pres.stab_neg}, "stab_pos": {pres.stab_pos}}}'
-        bucket = buckets.setdefault(_class_key(pres, inv, shape), [0, text, pres, inv, shape])
+        bucket = buckets.setdefault(_class_key(pres, inv, shape), [0, key, pres, inv, shape])
         bucket[0] += 1
-        if text < bucket[1]:
-            bucket[1:] = text, pres, inv, shape
-    ranked = []  # (sort key, class); no two keys are equal, as no two texts are
-    for size, text, pres, inv, shape in buckets.values():
+        if key < bucket[1]:
+            bucket[1:] = key, pres, inv, shape
+    ranked = []  # (sort key, class); no two tie: reps of one rotation vector differ in rot
+    for size, key, pres, inv, shape in buckets.values():
         cls = EquivClass.of(pres, inv, size, shape)
-        ranked.append(((not cls.ambient_tight, cls.loose, -inv.rot, inv.d3, text), cls))
+        ranked.append(((not cls.ambient_tight, cls.loose, -inv.rot, inv.d3, key), cls))
     ranked.sort(key=lambda pair: pair[0])  # tight, then strongly non-loose, then loose
     return tuple(cls for _, cls in ranked)
 
@@ -149,7 +154,7 @@ def transverse_classes(p: int, q: int) -> tuple[EquivClass, ...]:
         for pres in enumerate_presentations(p, q, 0)
         if nonvanishing_condition(pres)
     ]
-    classes.sort(key=lambda c: (-c.invariants.rot, c.representative.to_json()))
+    classes.sort(key=lambda c: (-c.invariants.rot, _rotation_key(c.representative)))
     return tuple(classes)
 
 

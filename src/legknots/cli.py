@@ -7,19 +7,14 @@ Output is deterministic (sorted keys, fixed iteration orders).  Exit codes:
 """
 
 import argparse
+import dataclasses
 import functools
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
-from .cf import (
-    VerificationError,
-    complementary_expansions,
-    honda_count,
-    neg_cf,
-    torus_knot_params,
-)
+from .cf import VerificationError, complementary_expansions, neg_cf, torus_knot_params
 from .checks import check_names, run_all
 from .classify import classify_level, transverse_classes
 from .diagram import chain_tbs
@@ -150,14 +145,7 @@ def cmd_params(args) -> int:
     ]
     s1, s2 = params.seifert_constants
     payload = {
-        "p": params.p,
-        "q": params.q,
-        "n": params.n,
-        "k": params.k,
-        "c": params.c,
-        "d": params.d,
-        "p_prime": params.p_prime,
-        "q_prime": params.q_prime,
+        **dataclasses.asdict(params),
         "genus": params.genus,
         "seifert_constants": [s1, s2],
         "chains": chains,
@@ -274,22 +262,15 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--quiet", action="store_true", help="suppress stdout output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def knot_command(name, func, help_text, extra=None):
+    def knot_command(name, func, help_text, extra=None, operands=("p", "q")):
         cmd = sub.add_parser(name, parents=[common], help=help_text)
-        cmd.add_argument("p", type=int)
-        cmd.add_argument("q", type=int)
+        for operand in operands:
+            cmd.add_argument(operand, type=int)
         if extra:
             extra(cmd)
         cmd.set_defaults(func=func)
-        return cmd
 
-    cf_cmd = sub.add_parser(
-        "cf", parents=[common], help="negative continued fraction of num/den"
-    )
-    cf_cmd.add_argument("num", type=int)
-    cf_cmd.add_argument("den", type=int)
-    cf_cmd.set_defaults(func=cmd_cf)
-
+    knot_command("cf", cmd_cf, "negative continued fraction of num/den", operands=("num", "den"))
     knot_command("params", cmd_params, "numerical data attached to T(p, -q)")
     knot_command(
         "enumerate",

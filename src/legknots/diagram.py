@@ -16,16 +16,20 @@ stab_pos positive and stab_neg negative stabilizations.
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 from .cf import complementary_expansions, torus_knot_params
 
-# Upper bound on one enumeration, prod |tb| * (level + 1); the verification
-# suite needs 696.  At the cap, `enumerate 2 3 --level 19999 --json` peaks at
-# 424 MB RSS in 4.3 s (2 vCPUs, Python 3.11), inside a 512 MB budget.  Longer
-# chains cost more per presentation: 11.5 kB for T(30, -31), 5.3 kB for T(2, -3).
+# Upper bound on the surgery curves (chains and (+1)-curves) of a knot;
+# T(n, -(n+1)) has n + 3.  The kernel is cubic in it: 99 ms cold for
+# T(61, -62) (2 vCPUs, Python 3.11).  Verify needs 13, the benchmark 21.
+MAX_CURVES = 64
+
+# Upper bound on one enumeration, prod |tb| * (level + 1), times 5/m for m
+# curves (5 is the fewest).  `enumerate --json` takes 3.9 + 0.22 m kB per
+# presentation, so the peak is highest at m = 5: `enumerate 2 3 --level 19999
+# --json`, 424 MB RSS in 3.6 s on that host, under 512 MB.  Verify needs 696.
 MAX_PRESENTATIONS = 80_000
 
 
@@ -105,14 +109,15 @@ class Presentation:
             "stab_neg": self.stab_neg,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 @functools.lru_cache(maxsize=None)
 def chains_for(p: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The two chain tb tuples shared by every presentation of T(p, -q)."""
+    """The two chain tb tuples shared by every presentation of T(p, -q); a
+    knot with more than MAX_CURVES surgery curves is refused."""
     cf1, cf2 = complementary_expansions(torus_knot_params(p, q))
+    curves = len(cf1) + len(cf2) + 2
+    if curves > MAX_CURVES:
+        raise ValueError(f"T({p}, -{q}) has {curves} surgery curves, more than the limit of {MAX_CURVES}")
     return chain_tbs(cf1), chain_tbs(cf2)
 
 
@@ -131,16 +136,17 @@ def validate_presentation(pres: Presentation) -> None:
 
 def rotation_vectors(p: int, q: int, level: int = 0):
     """Iterator over the (rots1, rots2) of T(p, -q), row-major, each carrying
-    level + 1 presentations.  A level below 0, or more than MAX_PRESENTATIONS
-    presentations in all, is refused with ValueError on the call."""
+    level + 1 presentations.  A level below 0, or more presentations in all
+    than the scaled MAX_PRESENTATIONS, is refused with ValueError on the call."""
     if level < 0:
         raise ValueError(f"need a stabilization level >= 0, got {level}")
     tbs1, tbs2 = chains_for(p, q)
     count = math.prod(-tb for tb in tbs1 + tbs2) * (level + 1)
-    if count > MAX_PRESENTATIONS:
+    limit = MAX_PRESENTATIONS * 5 // (len(tbs1) + len(tbs2) + 2)
+    if count > limit:
         raise ValueError(
             f"T({p}, -{q}) has {count} presentations at level {level}, "
-            f"more than the limit of {MAX_PRESENTATIONS}"
+            f"more than the limit of {limit}"
         )
     rots1, rots2 = (itertools.product(*map(rotation_range, tbs)) for tbs in (tbs1, tbs2))
     return itertools.product(rots1, rots2)

@@ -188,28 +188,16 @@ def d3_surgered(pres: Presentation) -> Fraction:
 # ---- smooth-topology oracle
 
 
-def validate_smooth_topology(pres: Presentation) -> dict:
-    """Check that the diagram presents S3 and surgers to the right lens space.
-
-    Returns a report dict; report["ok"] is False when any oracle fails.  The
-    ambient check (|det Q| = 1) applies at any level; the surgered first
-    homology and the lens type (u, v) = (pq+1, p^2 up to inversion) are
-    level-0 statements, the latter read off the chain left after cancelling
-    the (+1)-curves.
-    """
-    p, q = pres.p, pres.q
+def validate_smooth_topology(p: int, q: int) -> dict:
+    """Report that the level-0 diagram of T(p, -q) presents S3 (|det Q| = 1)
+    and surgers to L(pq+1, p^2 up to inversion): first homology of order pq+1,
+    and that lens type read off the chain left after cancelling the
+    (+1)-curves.  report["ok"] is False when any of these fails."""
     mat, lk = _linking(p, q)
     ambient_det = det_bareiss(mat)
-    report = {"p": p, "q": q, "ambient_det": ambient_det}
-    ok = abs(ambient_det) == 1
-    if pres.level == 0:
-        h1 = abs(det_bareiss(_bordered(mat, lk, -2)))
-        u = p * q + 1
-        num, den = _continuant(merged_lens_entries(*complementary_expansions(torus_knot_params(p, q))))
-        v_expect = p * p % u
-        report["surgered_h1"] = h1
-        report["lens"] = (num, den)
-        ok = ok and h1 == u and num == u and den in (v_expect, pow(v_expect, -1, u))
-    report["ok"] = ok
-    return report
-
+    h1 = abs(det_bareiss(_bordered(mat, lk, -2)))
+    u = p * q + 1
+    num, den = _continuant(merged_lens_entries(*complementary_expansions(torus_knot_params(p, q))))
+    v = p * p % u
+    ok = abs(ambient_det) == 1 and h1 == u and num == u and den in (v, pow(v, -1, u))
+    return {"p": p, "q": q, "ambient_det": ambient_det, "surgered_h1": h1, "lens": (num, den), "ok": ok}

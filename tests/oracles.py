@@ -8,6 +8,7 @@ oracles here take ranks over F_2 and the Smith normal form over F_2[U].
 
 import functools
 import heapq
+import json
 import math
 from fractions import Fraction
 
@@ -16,6 +17,11 @@ from legknots.classify import _class_key
 from legknots.diagram import Presentation, enumerate_presentations, nonvanishing_condition
 from legknots.invariants import _bordered, _linking, classical_invariants, rotation_vector
 from legknots.linalg import det_bareiss
+
+
+def json_text(pres: Presentation) -> str:
+    """The JSON text of a presentation, the order the classes are ranked in."""
+    return json.dumps(pres.to_dict(), sort_keys=True)
 
 
 def coprime_pairs(max_product: int) -> list[tuple[int, int]]:
@@ -154,27 +160,27 @@ def invariants_oracle(pres):
 
 def class_partition(p: int, q: int, level: int) -> dict[Presentation, tuple[Presentation, ...]]:
     """The level-`level` presentations of T(p, -q) grouped by class key,
-    keyed by representative: each class's members sorted by to_json(), the
+    keyed by representative: each class's members sorted by json_text(), the
     first of them its representative."""
     groups: dict = {}
     for pres in enumerate_presentations(p, q, level):
         groups.setdefault(_class_key(pres, classical_invariants(pres)), []).append(pres)
-    members = (tuple(sorted(group, key=Presentation.to_json)) for group in groups.values())
+    members = (tuple(sorted(group, key=json_text)) for group in groups.values())
     return {group[0]: group for group in members}
 
 
 def transverse_partition(p: int, q: int) -> list[tuple[Presentation, ...]]:
     """The level-0 presentations of T(p, -q) with nonzero invariant, grouped
     by the class of their q-fold negative stabilization: each group's members
-    sorted by to_json(), the groups by descending rot of their first member
-    and then its to_json()."""
+    sorted by json_text(), the groups by descending rot of their first member
+    and then its json_text()."""
     groups: dict = {}
     for pres in enumerate_presentations(p, q, 0):
         if nonvanishing_condition(pres):
             stabilized = pres.stabilize(neg=q)
             groups.setdefault(_class_key(stabilized, classical_invariants(stabilized)), []).append(pres)
-    members = [tuple(sorted(group, key=Presentation.to_json)) for group in groups.values()]
-    return sorted(members, key=lambda g: (-classical_invariants(g[0]).rot, g[0].to_json()))
+    members = [tuple(sorted(group, key=json_text)) for group in groups.values()]
+    return sorted(members, key=lambda g: (-classical_invariants(g[0]).rot, json_text(g[0])))
 
 
 def _f2_rank(rows: list[int]) -> int:

@@ -72,7 +72,8 @@ def test_classes_share_invariants():
         assert len(invs) == 1
 
 
-@pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 4), (3, 5), (5, 8)])
+# T(2, -23) has chains (-2,) and (-2, -11): rotations run from -10 to 10
+@pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 4), (3, 5), (5, 8), (2, 23)])
 def test_classify_level_matches_partition_oracle(p, q):
     for level in range(5):
         got = {cls.representative: cls.size for cls in classify_level(p, q, level)}

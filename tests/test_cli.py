@@ -1,6 +1,8 @@
 """Command-line behavior: output shapes, determinism, exit codes."""
 
+import argparse
 import json
+import time
 
 import pytest
 
@@ -180,6 +182,22 @@ def test_bad_floer_pairs_exit_2(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["enumerate", "classify", "transverse", "lens"])
+def test_long_chains_exit_2_at_once(capsys, command):
+    # T(499, -500) has 502 surgery curves, refused before the cubic kernel
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "499", "500")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "502 surgery curves" in err and err.count("\n") == 1
+
+
+def test_longest_admitted_chain_answers(capsys):
+    # T(61, -62) has diagram.MAX_CURVES = 64 surgery curves and n - 1 = 60 transverse classes
+    code, out, _ = run(capsys, "transverse", "61", "62", "--json")
+    assert code == 0 and len(json.loads(out)["classes"]) == 60
+
+
 def test_unwritable_out_exits_2(capsys, tmp_path):
     target = tmp_path / "missing" / "report.json"
     code, out, err = run(capsys, "cf", "8", "5", "--out", str(target))
@@ -246,3 +264,38 @@ def test_parser_reuse_keeps_no_state(capsys):
     capsys.readouterr()
     _, after, _ = run(capsys, "enumerate", "2", "3", "--level", "1", "--json")
     assert after == before
+
+
+USAGES = {
+    None: (
+        "usage: legknots [-h] [--version]\n"
+        "                {cf,params,enumerate,classify,transverse,hfk,match,lens,verify}\n"
+        "                ...\n"
+    ),
+    "cf": "usage: legknots cf [-h] [--json] [--out FILE] [--quiet] num den\n",
+    "params": "usage: legknots params [-h] [--json] [--out FILE] [--quiet] p q\n",
+    "enumerate": (
+        "usage: legknots enumerate [-h] [--json] [--out FILE] [--quiet] [--level LEVEL]\n"
+        "                          p q\n"
+    ),
+    "classify": (
+        "usage: legknots classify [-h] [--json] [--out FILE] [--quiet] [--level LEVEL]\n"
+        "                         p q\n"
+    ),
+    "transverse": "usage: legknots transverse [-h] [--json] [--out FILE] [--quiet] p q\n",
+    "hfk": "usage: legknots hfk [-h] [--json] [--out FILE] [--quiet] p q\n",
+    "match": "usage: legknots match [-h] [--json] [--out FILE] [--quiet] p q\n",
+    "lens": "usage: legknots lens [-h] [--json] [--out FILE] [--quiet] p q\n",
+    "verify": "usage: legknots verify [-h] [--json] [--out FILE] [--quiet] [--only CHECK]\n",
+}
+
+
+def test_parser_usages_are_pinned(monkeypatch):
+    """Every subcommand keeps its operands and flags, in order."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == [name for name in USAGES if name]
+    assert parser.format_usage() == USAGES[None]
+    for name, command in sub.choices.items():
+        assert command.format_usage() == USAGES[name]

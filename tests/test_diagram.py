@@ -80,6 +80,17 @@ def test_enumeration_refuses_oversized_requests(monkeypatch):
         next(enumerate_presentations(2, 3, 2))
 
 
+def test_long_chains_are_refused_before_any_work():
+    # T(n, -(n+1)) has n + 3 surgery curves: T(61, -62) is the longest admitted
+    assert sum(map(len, chains_for(61, 62))) + 2 == diagram.MAX_CURVES == 64
+    with pytest.raises(ValueError, match="has 65 surgery curves, more than the limit of 64"):
+        chains_for(62, 63)
+    # 64 curves get 5/64 of MAX_PRESENTATIONS, 6250; T(61, -62) has 122 rotation vectors
+    assert len(list(diagram.rotation_vectors(61, 62, 50))) == 122
+    with pytest.raises(ValueError, match="6344 presentations at level 51, more than the limit of 6250"):
+        diagram.rotation_vectors(61, 62, 51)
+
+
 def test_enumeration_is_valid_and_unique():
     seen = set()
     for pres in enumerate_presentations(3, 5, 2):
@@ -107,7 +118,7 @@ def test_stabilize():
 
 def test_json_roundtrip():
     pres = Presentation(5, 8, (-2, 0), (1, -1, 0), 1, 0)
-    data = json.loads(pres.to_json())
+    data = json.loads(json.dumps(pres.to_dict(), sort_keys=True))
     assert data["chains"][0] == {"tb": [-3, -1], "rot": [-2, 0]}
 
 

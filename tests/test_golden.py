@@ -31,6 +31,11 @@ JSON_DIGESTS = {
     ("classify", "2", "5", "--level", "12"): (
         "e74e69d5f2fb0bf235eaf64f9ef31ed30e74103192e9ab7a578d6ac44e66ed29"
     ),
+    # two-digit rotation numbers: T(2, -23) has rot from -10 to 10
+    ("classify", "2", "23", "--level", "2"): (
+        "1922ebfc7d23a31f809e5baac6b481042bd7e6524e29f45ccd7e316b2c3f181f"
+    ),
+    ("transverse", "2", "23"): "1271045016a018aa178e380bbc87bac757309fa1f4f8fdfccd7d5bd05a36aab8",
 }
 
 TEXT_DIGESTS = {
@@ -55,6 +60,10 @@ TEXT_DIGESTS = {
     ("classify", "2", "5", "--level", "12"): (
         "16e948ddadd88d1b996f4ac7c64650b69861a6a9d52c2aeac690813a92316561"
     ),
+    ("classify", "2", "23", "--level", "2"): (
+        "2a97f4370791a475a08ff64b95dc740e7984982b0d498eb89e73d7ac157efd4f"
+    ),
+    ("transverse", "2", "23"): "64c3bf1d015fd05eb91f23698be483b1be3cf155931970575d3f69024e52d340",
 }
 
 PUBLIC_NAMES = [

@@ -176,13 +176,12 @@ def test_d3_surgered_is_a_fraction():
 
 
 def test_smooth_topology_reports():
-    report = validate_smooth_topology(Presentation(2, 3, (1,), (1, 0)))
+    report = validate_smooth_topology(2, 3)
     assert report["ok"]
     assert report["surgered_h1"] == 7
     assert report["lens"][0] == 7
     for p, q in ((3, 4), (5, 8), (2, 9)):
-        pres = next(iter(enumerate_presentations(p, q, 0)))
-        assert validate_smooth_topology(pres)["ok"]
+        assert validate_smooth_topology(p, q)["ok"]
 
 
 # ---- the per-knot kernel against the per-presentation Fraction oracle
