@@ -111,13 +111,21 @@ class Presentation:
 
 
 @functools.lru_cache(maxsize=None)
-def chains_for(p: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The two chain tb tuples shared by every presentation of T(p, -q); a
-    knot with more than MAX_CURVES surgery curves is refused."""
+def chain_expansions(p: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two chain expansions (cf1, cf2) of T(p, -q); a knot with more than
+    MAX_CURVES surgery curves is refused."""
     cf1, cf2 = complementary_expansions(torus_knot_params(p, q))
     curves = len(cf1) + len(cf2) + 2
     if curves > MAX_CURVES:
         raise ValueError(f"T({p}, -{q}) has {curves} surgery curves, more than the limit of {MAX_CURVES}")
+    return cf1, cf2
+
+
+@functools.lru_cache(maxsize=None)
+def chains_for(p: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two chain tb tuples shared by every presentation of T(p, -q),
+    refused as chain_expansions refuses."""
+    cf1, cf2 = chain_expansions(p, q)
     return chain_tbs(cf1), chain_tbs(cf2)
 
 

@@ -1,10 +1,14 @@
 """Knot Floer homology of positive torus knots via the staircase model.
 
 The Alexander polynomial of T(p, q) is (t^{pq} - 1)(t - 1) divided by
-(t^p - 1)(t^q - 1); after centering, its exponents n_0 > n_1 > ... > n_{2m}
-alternate in sign starting from +1 at n_0 = (p-1)(q-1)/2.  The minus-flavor
-knot complex is the staircase on generators x_0, ..., x_{2m} with Alexander
-grading A(x_i) = n_i, Maslov grading
+(t^p - 1)(t^q - 1), which is (1 - t) times the sum of t^s over the semigroup
+S = <p, q> of sums ap + bq with a, b >= 0.  S holds every integer from
+2g = (p-1)(q-1) on, so the coefficients are +1 where a run of S in [0, 2g]
+starts and -1 just past its end; the table of S is checked against the
+recurrence that defines S.  After centering, the exponents
+n_0 > n_1 > ... > n_{2m} alternate in sign starting from +1 at n_0 = g.  The
+minus-flavor knot complex is the staircase on generators x_0, ..., x_{2m}
+with Alexander grading A(x_i) = n_i, Maslov grading
 
     M(x_0) = 0,
     M(x_{2i+1}) = M(x_{2i}) - 2 g_i + 1   where g_i = n_{2i} - n_{2i+1},
@@ -30,6 +34,7 @@ gradings against the graded Euler characteristic.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,23 +47,18 @@ from .classify import transverse_classes
 # Upper bound on p * q for the Floer layer: the staircase has about pq/2
 # generators.  The benchmark pool's largest pair has pq = 1974 and
 # deep-knots matches have q <= 60; the cap itself, T(2, 4999), costs about
-# 11 ms cold and a 2.3 MiB tracemalloc peak on a 2-CPU x86-64 host.
+# 20 ms cold and a 2.2 MiB tracemalloc peak on a 2-CPU x86-64 host.
 MAX_PQ = 10**4
 
 
-def _divide_by_t_power_minus_one(num: list[int], k: int) -> list[int]:
-    """Quotient of num by t^k - 1; the remainder must vanish."""
-    num = list(num)
-    quot = [0] * (len(num) - k)
-    for i in range(len(quot) - 1, -1, -1):
-        quot[i] = num[i + k]
-        num[i] += quot[i]
-    if any(num[:k]):
-        raise VerificationError("polynomial division left a remainder")
-    return quot
+def _semigroup_marks(p: int, q: int, top: int) -> bytearray:
+    """marks[s] = 1 for s in S = <p, q>, s <= top: one slice per multiple of q."""
+    marks = bytearray(top + 1)
+    for start in range(0, top + 1, q):
+        marks[start::p] = b"\x01" * len(range(start, top + 1, p))
+    return marks
 
 
-@functools.lru_cache(maxsize=None)
 def alexander_exponents(p: int, q: int) -> tuple[int, ...]:
     """Descending exponents of the symmetrized Alexander polynomial of T(p, q).
 
@@ -71,18 +71,18 @@ def alexander_exponents(p: int, q: int) -> tuple[int, ...]:
         raise ValueError(f"need gcd(p, q) == 1, got ({p}, {q})")
     if p * q > MAX_PQ:
         raise ValueError(f"T({p}, {q}) has pq = {p * q}, more than the limit of {MAX_PQ}")
-    numerator = [0] * (p * q + 2)
-    numerator[0], numerator[1], numerator[p * q], numerator[p * q + 1] = 1, -1, -1, 1
-    quot = _divide_by_t_power_minus_one(_divide_by_t_power_minus_one(numerator, p), q)
     genus = (p - 1) * (q - 1) // 2
-    exponents = []
-    for e in range(len(quot) - 1, -1, -1):
-        c = quot[e]
-        if c == 0:
-            continue
-        if c != (1 if len(exponents) % 2 == 0 else -1):
-            raise VerificationError("Alexander coefficients do not alternate")
-        exponents.append(e - genus)
+    top = 2 * genus
+    marks = _semigroup_marks(p, q, top)
+    # S is the one set with s in S iff s = 0 or s - p or s - q is in S;
+    # read as an integer, mark s is bit 8s
+    table = int.from_bytes(marks, "little")
+    if table != (1 | table << 8 * p | table << 8 * q) & ((1 << 8 * (top + 1)) - 1):
+        raise VerificationError(f"the table of <{p}, {q}> breaks the semigroup's recurrence")
+    # byte k of edges is 1 where marks[k - 1] != marks[k]: +1 where a run of S
+    # starts, -1 just past its end; the last run ends past 2g
+    edges = (table ^ table << 8).to_bytes(top + 2, "little")
+    exponents = list(itertools.compress(range(-genus, genus + 2), edges))[-2::-1]
     if len(exponents) % 2 == 0 or exponents[0] != genus:
         raise VerificationError("Alexander polynomial has the wrong shape")
     if exponents != [-e for e in reversed(exponents)]:
@@ -103,23 +103,17 @@ class StaircaseComplex:
     gaps: tuple[int, ...]  # gaps[i] = A(x_{2i}) - A(x_{2i+1}) >= 1
 
 
-@functools.lru_cache(maxsize=None)
 def staircase(p: int, q: int) -> StaircaseComplex:
     exps = alexander_exponents(p, q)
-    gradings = [(exps[0], 0)]
-    for i in range(1, len(exps)):
-        prev_m = gradings[-1][1]
-        if i % 2 == 1:
-            gradings.append((exps[i], prev_m - 2 * (exps[i - 1] - exps[i]) + 1))
-        else:
-            gradings.append((exps[i], prev_m - 1))
-    gaps = tuple(exps[2 * i] - exps[2 * i + 1] for i in range(len(exps) // 2))
+    gaps = tuple(a - b for a, b in zip(exps[0::2], exps[1::2]))
     if any(g < 1 for g in gaps):
         raise VerificationError("nonpositive staircase gap")
+    steps = [step for g in gaps for step in (1 - 2 * g, -1)]
+    gradings = tuple(zip(exps, itertools.accumulate(steps, initial=0)))
     genus = (p - 1) * (q - 1) // 2
     if gradings[-1] != (-genus, -2 * genus):
         raise VerificationError("staircase does not end at (-g, -2g)")
-    return StaircaseComplex(p, q, tuple(gradings), gaps)
+    return StaircaseComplex(p, q, gradings, gaps)
 
 
 def differential(complex_: StaircaseComplex) -> dict[int, dict[int, int]]:
@@ -163,7 +157,7 @@ def _homology_is_sphere(d: dict[int, dict[int, int]], generators: int) -> bool:
 # ---- graded module
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tower:
     """A cyclic F_2[U] summand; order is the U-torsion exponent, None = free."""
 
@@ -179,7 +173,7 @@ class Tower:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GradedModule:
     towers: tuple[Tower, ...]
 
@@ -195,12 +189,11 @@ class GradedModule:
         return {"towers": [t.to_dict() for t in self.towers]}
 
 
-def closed_form_orders(p: int, q: int) -> tuple[int, ...]:
+def closed_form_orders(exps: tuple[int, ...]) -> tuple[int, ...]:
     """Torsion orders read off the Alexander exponents: the odd-position gaps
     n_{2i-1} - n_{2i}, which by symmetry form the same multiset as the
     staircase gaps."""
-    exps = alexander_exponents(p, q)
-    return tuple(sorted(exps[2 * i - 1] - exps[2 * i] for i in range(1, len(exps) // 2 + 1)))
+    return tuple(sorted(a - b for a, b in zip(exps[1::2], exps[2::2])))
 
 
 def euler_characteristic(complex_: StaircaseComplex) -> dict[int, int]:
@@ -258,6 +251,7 @@ def hfk_minus(p: int, q: int) -> GradedModule:
     graded Euler characteristic matches the Alexander polynomial.
     """
     complex_ = staircase(p, q)
+    exps = tuple(a for a, _ in complex_.gradings)
     d = differential(complex_)
     if not squares_to_zero(d):
         raise VerificationError("staircase differential does not square to zero")
@@ -271,13 +265,13 @@ def hfk_minus(p: int, q: int) -> GradedModule:
     towers.append(Tower(None, *complex_.gradings[-1]))
     module = GradedModule(tuple(towers))
     _check_towers(complex_, d, module.towers)
-    if module.finite_orders() != closed_form_orders(p, q):
+    orders = closed_form_orders(exps)
+    if module.finite_orders() != orders:
         raise VerificationError(
             f"torsion orders disagree for T({p}, {q}): "
-            f"towers {module.finite_orders()}, closed form {closed_form_orders(p, q)}"
+            f"towers {module.finite_orders()}, closed form {orders}"
         )
 
-    exps = alexander_exponents(p, q)
     expected_chi = {e: (1 if i % 2 == 0 else -1) for i, e in enumerate(exps)}
     if euler_characteristic(complex_) != expected_chi:
         raise VerificationError("Euler characteristic does not match Alexander polynomial")

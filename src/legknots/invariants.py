@@ -46,8 +46,8 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import _continuant, complementary_expansions, merged_lens_entries, torus_knot_params
-from .diagram import Presentation, chains_for, enumerate_presentations
+from .cf import _continuant, merged_lens_entries
+from .diagram import Presentation, chain_expansions, chains_for, enumerate_presentations
 from .linalg import adjugate, det_bareiss
 
 
@@ -197,7 +197,7 @@ def validate_smooth_topology(p: int, q: int) -> dict:
     ambient_det = det_bareiss(mat)
     h1 = abs(det_bareiss(_bordered(mat, lk, -2)))
     u = p * q + 1
-    num, den = _continuant(merged_lens_entries(*complementary_expansions(torus_knot_params(p, q))))
+    num, den = _continuant(merged_lens_entries(*chain_expansions(p, q)))
     v = p * p % u
     ok = abs(ambient_det) == 1 and h1 == u and num == u and den in (v, pow(v, -1, u))
     return {"p": p, "q": q, "ambient_det": ambient_det, "surgered_h1": h1, "lens": (num, den), "ok": ok}

@@ -15,14 +15,8 @@ counting the image.
 import functools
 from dataclasses import dataclass
 
-from .cf import (
-    VerificationError,
-    complementary_expansions,
-    honda_count,
-    merged_lens_entries,
-    torus_knot_params,
-)
-from .diagram import Presentation, enumerate_presentations, rotation_range
+from .cf import VerificationError, honda_count, merged_lens_entries
+from .diagram import Presentation, chain_expansions, enumerate_presentations, rotation_range
 from .invariants import d3_surgered
 
 
@@ -37,7 +31,7 @@ class LensChain:
 @functools.lru_cache(maxsize=None)
 def _lens_entries(p: int, q: int) -> tuple[int, ...]:
     """The merged chain entries shared by every presentation of T(p, -q)."""
-    cf1, cf2 = complementary_expansions(torus_knot_params(p, q))
+    cf1, cf2 = chain_expansions(p, q)
     entries = merged_lens_entries(cf1, cf2)
     if len(entries) != len(cf1) + len(cf2) - 1:
         raise VerificationError("merged chain has the wrong length")

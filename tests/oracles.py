@@ -1,9 +1,11 @@
 """Exact oracles the tests compare the runtime against.
 
 None of these is on the runtime path: the library computes the same facts
-with integer eliminations and continuants, and reads the Floer towers off
-the staircase and two columns of its differential per tower, where the
-oracles here take ranks over F_2 and the Smith normal form over F_2[U].
+with integer eliminations and continuants, reads the Alexander polynomial
+off the semigroup <p, q>, and reads the Floer towers off the staircase and
+two columns of its differential per tower, where the oracles here divide by
+t^p - 1 and t^q - 1, take ranks over F_2 and the Smith normal form over
+F_2[U].
 """
 
 import functools
@@ -181,6 +183,35 @@ def transverse_partition(p: int, q: int) -> list[tuple[Presentation, ...]]:
             groups.setdefault(_class_key(stabilized, classical_invariants(stabilized)), []).append(pres)
     members = [tuple(sorted(group, key=json_text)) for group in groups.values()]
     return sorted(members, key=lambda g: (-classical_invariants(g[0]).rot, json_text(g[0])))
+
+
+def _divide_by_t_power_minus_one(num: list[int], k: int) -> list[int]:
+    """Quotient of num by t^k - 1; the remainder must vanish."""
+    num = list(num)
+    quot = [0] * (len(num) - k)
+    for i in range(len(quot) - 1, -1, -1):
+        quot[i] = num[i + k]
+        num[i] += quot[i]
+    if any(num[:k]):
+        raise VerificationError("polynomial division left a remainder")
+    return quot
+
+
+def alexander_exponents_by_division(p: int, q: int) -> tuple[int, ...]:
+    """Descending exponents of the symmetrized Alexander polynomial of T(p, q),
+    by dividing (t^{pq} - 1)(t - 1) by t^p - 1 and then by t^q - 1; the
+    coefficients must alternate +1, -1, ... from the top."""
+    numerator = [0] * (p * q + 2)
+    numerator[0], numerator[1], numerator[p * q], numerator[p * q + 1] = 1, -1, -1, 1
+    quot = _divide_by_t_power_minus_one(_divide_by_t_power_minus_one(numerator, p), q)
+    genus = (p - 1) * (q - 1) // 2
+    exponents = []
+    for e in range(len(quot) - 1, -1, -1):
+        if quot[e]:
+            if quot[e] != (1 if len(exponents) % 2 == 0 else -1):
+                raise VerificationError("Alexander coefficients do not alternate")
+            exponents.append(e - genus)
+    return tuple(exponents)
 
 
 def _f2_rank(rows: list[int]) -> int:

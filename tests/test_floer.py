@@ -24,7 +24,13 @@ from legknots.floer import (
     squares_to_zero,
     staircase,
 )
-from oracles import associated_graded, bigraded_homology_dims, smith_invariant_factors
+from oracles import (
+    alexander_exponents_by_division,
+    associated_graded,
+    bigraded_homology_dims,
+    coprime_pairs,
+    smith_invariant_factors,
+)
 
 # ---- oracle: dense Smith normal form over F_2[U] (bitmask encoding, bit k = U^k)
 
@@ -165,6 +171,13 @@ def test_alexander_shape_sweep():
             assert tuple(-e for e in reversed(exps)) == exps
 
 
+def test_alexander_matches_division_oracle():
+    pairs = coprime_pairs(2000) + [(2, MAX_PQ // 2 - 1), (97, 103)]
+    assert len(pairs) == 3408
+    for p, q in pairs:
+        assert alexander_exponents(p, q) == alexander_exponents_by_division(p, q), (p, q)
+
+
 def test_alexander_rejects():
     with pytest.raises(ValueError):
         alexander_exponents(3, 3)
@@ -173,8 +186,53 @@ def test_alexander_rejects():
     with pytest.raises(ValueError, match="gcd"):
         alexander_exponents(2, 4)
     with pytest.raises(ValueError, match="limit"):
-        alexander_exponents(2, 100001)  # refused before the division starts
+        alexander_exponents(2, 100001)  # refused before any work
     assert len(alexander_exponents(2, MAX_PQ // 2 - 1)) == MAX_PQ // 2 - 1  # largest allowed
+
+
+_semigroup_marks = floer._semigroup_marks
+
+
+def _marks_from_one(p, q, top):
+    marks = bytearray(top + 1)
+    for start in range(1, top + 1, q):
+        marks[start::p] = b"\x01" * len(range(start, top + 1, p))
+    return marks
+
+
+def _marks_without_last_multiple_of_q(p, q, top):
+    marks = bytearray(top + 1)
+    for start in range(0, top + 1, q)[:-1]:
+        marks[start::p] = b"\x01" * len(range(start, top + 1, p))
+    return marks
+
+
+def _marks_with_first_gap_swapped(p, q, top):
+    marks = _semigroup_marks(p, q, top)
+    k = marks.index(0)
+    j = marks.index(1, k)  # the first element of S past the first gap
+    marks[k], marks[j] = marks[j], marks[k]
+    return marks
+
+
+@pytest.mark.parametrize(
+    "mutation, p, q",
+    [
+        (_marks_from_one, 3, 7),
+        (_marks_without_last_multiple_of_q, 3, 7),
+        (_marks_without_last_multiple_of_q, 5, 8),
+        (_marks_with_first_gap_swapped, 2, 5),
+        (_marks_with_first_gap_swapped, 5, 8),
+    ],
+)
+def test_mutated_semigroup_table_raises(monkeypatch, mutation, p, q):
+    # a table other than S changes the polynomial (1 - t) * sum of t^s, which
+    # the division oracle would refuse; the recurrence check must refuse it
+    top = (p - 1) * (q - 1)
+    assert mutation(p, q, top) != _semigroup_marks(p, q, top)
+    monkeypatch.setattr(floer, "_semigroup_marks", mutation)
+    with pytest.raises(VerificationError, match="breaks the semigroup's recurrence"):
+        alexander_exponents(p, q)
 
 
 # ---- staircase
@@ -387,7 +445,7 @@ def test_closed_form_orders_agree():
     for q in range(3, 21):
         for p in range(2, q):
             if math.gcd(p, q) == 1:
-                assert closed_form_orders(p, q) == hfk_minus(p, q).finite_orders()
+                assert closed_form_orders(alexander_exponents(p, q)) == hfk_minus(p, q).finite_orders()
 
 
 def test_euler_characteristic_matches_alexander():
@@ -415,8 +473,7 @@ def test_graded_matrix_shape():
 
 def test_hfk_at_the_cap_stays_small():
     for p, q in ((2, MAX_PQ // 2 - 1), (97, 103)):
-        for cached in (floer.alexander_exponents, floer.staircase, floer.hfk_minus):
-            cached.cache_clear()
+        hfk_minus.cache_clear()
         tracemalloc.start()
         try:
             module = hfk_minus(p, q)
@@ -425,8 +482,26 @@ def test_hfk_at_the_cap_stays_small():
             tracemalloc.stop()
         assert peak < 16 * 2**20, (p, q, peak)
         genus = (p - 1) * (q - 1) // 2
-        assert module.finite_orders() == closed_form_orders(p, q)
+        assert module.finite_orders() == closed_form_orders(alexander_exponents(p, q))
         assert module.towers[-1] == Tower(None, -genus, -2 * genus)
+
+
+def test_hfk_keeps_only_its_towers():
+    # the cache of hfk_minus is the only state the Floer layer keeps: about
+    # 36 kB per knot on these pairs (Python 3.10-3.13 on x86-64), where
+    # caching the exponents and the staircase as well held 120 kB
+    pairs = [(p, q) for p, q in coprime_pairs(2000) if p * q >= 1500][::49]
+    assert len(pairs) == 21
+    hfk_minus.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for p, q in pairs:
+            hfk_minus(p, q)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / len(pairs) < 50_000, retained / len(pairs)
 
 
 # ---- the tower check inside hfk_minus
@@ -506,7 +581,7 @@ def test_mutated_differential_raises(monkeypatch, column, message):
     try:
         graded = sorted(f.bit_length() - 1 for f in smith_invariant_factors(associated_graded(sc, d)))
         full = smith_invariant_factors(list(d.values()))
-        assert graded != list(closed_form_orders(5, 8)) or full != [1] * len(d)
+        assert graded != list(closed_form_orders(alexander_exponents(5, 8))) or full != [1] * len(d)
     except VerificationError:
         pass
     monkeypatch.setattr(floer, "differential", lambda _: d)

@@ -36,6 +36,9 @@ JSON_DIGESTS = {
         "1922ebfc7d23a31f809e5baac6b481042bd7e6524e29f45ccd7e316b2c3f181f"
     ),
     ("transverse", "2", "23"): "1271045016a018aa178e380bbc87bac757309fa1f4f8fdfccd7d5bd05a36aab8",
+    # the largest staircases: T(97, 103) and T(2, 4999), the pq cap of the Floer layer
+    ("hfk", "97", "103"): "364cea17bc9a92da6f54caf73769de1166a0ea8a83910290cd3c3d9ca9773a8c",
+    ("hfk", "2", "4999"): "a066bafed91c5b7c373216562028d954126e74a6319f3934b333097bda76860d",
 }
 
 TEXT_DIGESTS = {
@@ -64,6 +67,8 @@ TEXT_DIGESTS = {
         "2a97f4370791a475a08ff64b95dc740e7984982b0d498eb89e73d7ac157efd4f"
     ),
     ("transverse", "2", "23"): "64c3bf1d015fd05eb91f23698be483b1be3cf155931970575d3f69024e52d340",
+    ("hfk", "97", "103"): "a5af0999ab9d2385a433bbd98491c8b53f54699c182e583512db2d089e981552",
+    ("hfk", "2", "4999"): "24e469ad703031f3fe5c34067b5acecddfca943ac3e8d44a9a8d21b1b8ad7653",
 }
 
 PUBLIC_NAMES = [

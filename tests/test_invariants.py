@@ -213,14 +213,15 @@ def test_expansions_run_once_per_knot(monkeypatch):
         calls.append((params.p, params.q))
         return real(params)
 
+    cached = (diagram.chain_expansions, diagram.chains_for, classify.classify_level)
     monkeypatch.setattr(diagram, "complementary_expansions", counted)
-    diagram.chains_for.cache_clear()
-    classify.classify_level.cache_clear()
+    for fn in cached:
+        fn.cache_clear()
     try:
         classify.classify_level(5, 8, 2)
     finally:
-        diagram.chains_for.cache_clear()
-        classify.classify_level.cache_clear()
+        for fn in cached:
+            fn.cache_clear()
     assert calls == [(5, 8)]
 
 

@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from legknots import lens
-from legknots.cf import honda_count
-from legknots.diagram import Presentation, enumerate_presentations, rotation_range
+from legknots import diagram, lens
+from legknots.cf import complementary_expansions, honda_count, torus_knot_params
+from legknots.diagram import Presentation, chain_tbs, enumerate_presentations, rotation_range
 from legknots.invariants import d3_surgered
 from legknots.lens import LensChain, reduce_to_lens_chain, surjectivity_check
 
@@ -92,19 +92,32 @@ def test_palindromic_chain_keeps_distinct_structures():
 
 def test_expansions_run_once_per_knot(monkeypatch):
     calls = []
-    real = lens.complementary_expansions
+    real = diagram.complementary_expansions
 
     def counted(params):
         calls.append((params.p, params.q))
         return real(params)
 
-    monkeypatch.setattr(lens, "complementary_expansions", counted)
-    lens._lens_entries.cache_clear()
+    cached = (diagram.chain_expansions, diagram.chains_for, lens._lens_entries)
+    monkeypatch.setattr(diagram, "complementary_expansions", counted)
+    for fn in cached:
+        fn.cache_clear()
     try:
         surjectivity_check(5, 8)
         surjectivity_check(3, 4)
         for pres in enumerate_presentations(5, 8, 0):
             reduce_to_lens_chain(pres)
     finally:
-        lens._lens_entries.cache_clear()
+        for fn in cached:
+            fn.cache_clear()
     assert calls == [(5, 8), (3, 4)]
+
+
+def test_long_chains_are_refused():
+    # a hand-built level-0 presentation of T(62, -63), 65 surgery curves: the
+    # reduction reads the same expansions as chains_for and is refused with it
+    cf1, cf2 = complementary_expansions(torus_knot_params(62, 63))
+    assert len(cf1) + len(cf2) + 2 == diagram.MAX_CURVES + 1
+    rots1, rots2 = (tuple(rotation_range(tb)[0] for tb in chain_tbs(cf)) for cf in (cf1, cf2))
+    with pytest.raises(ValueError, match="has 65 surgery curves, more than the limit of 64"):
+        reduce_to_lens_chain(Presentation(62, 63, rots1, rots2))
