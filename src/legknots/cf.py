@@ -1,7 +1,7 @@
 """Negative continued fractions and torus-knot surgery parameters.
 
-Everything in this module is exact integer arithmetic (``fractions.Fraction``
-where a ratio is needed).  The central gadget is the negative
+Everything in this module is exact integer arithmetic; a ratio is a coprime
+pair (num, den) of ints with den > 0.  The central gadget is the negative
 (Hirzebruch-Jung) continued fraction
 
     [a0, a1, ..., as] = a0 - 1/(a1 - 1/(... - 1/as)),
@@ -9,8 +9,7 @@ where a ratio is needed).  The central gadget is the negative
 which has a unique expansion with all entries >= 2 for every rational > 1.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from math import gcd
 
 
@@ -77,24 +76,18 @@ def honda_count(u: int, v: int) -> int:
 # ---- torus-knot surgery parameters
 
 
-@dataclass(frozen=True)
-class TorusKnotParams:
+class TorusKnotParams(namedtuple("TorusKnotParams", "p q n k c d p_prime q_prime")):
     """Arithmetic data attached to the negative torus knot T(p, -q).
 
     For coprime 2 <= p < q write q = n*p - k with 0 < k < p.  Then c is the
     inverse of k mod p (0 < c < p), d = (c*k - 1)/p >= 0, and the companion
     pair (p', q') = (c, c*n - d) satisfies p*q' - q*p' = 1.  d == 0 happens
     exactly when k == 1 (for instance p, q = 2, 3).
+
+    Ratios are (num, den) pairs in lowest terms: c inverts k mod p, and p*q' - q*p' = 1.
     """
 
-    p: int
-    q: int
-    n: int
-    k: int
-    c: int
-    d: int
-    p_prime: int
-    q_prime: int
+    __slots__ = ()
 
     @property
     def genus(self) -> int:
@@ -102,19 +95,19 @@ class TorusKnotParams:
         return (self.p - 1) * (self.q - 1) // 2
 
     @property
-    def seifert_constants(self) -> tuple[Fraction, Fraction]:
+    def seifert_constants(self) -> tuple[tuple[int, int], tuple[int, int]]:
         """The two orbifold constants of the complement, (p-p')/p and q'/q."""
-        return Fraction(self.p - self.p_prime, self.p), Fraction(self.q_prime, self.q)
+        return (self.p - self.p_prime, self.p), (self.q_prime, self.q)
 
     @property
-    def chain1_coefficient(self) -> Fraction:
+    def chain1_coefficient(self) -> tuple[int, int]:
         """Contact surgery coefficient of the first unknot, -p/(p-c)."""
-        return Fraction(-self.p, self.p - self.c)
+        return -self.p, self.p - self.c
 
     @property
-    def chain2_coefficient(self) -> Fraction:
+    def chain2_coefficient(self) -> tuple[int, int]:
         """Contact surgery coefficient of the second unknot, -q/q'."""
-        return Fraction(-self.q, self.q_prime)
+        return -self.q, self.q_prime
 
 
 def torus_knot_params(p: int, q: int) -> TorusKnotParams:

@@ -25,7 +25,7 @@ presentation count.
 """
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .diagram import (
     Presentation,
@@ -73,15 +73,9 @@ def _class_key(pres: Presentation, inv: ClassicalInvariants, shape=None):
 # ---- classes
 
 
-@dataclass(frozen=True)
-class EquivClass:
-    size: int
-    representative: Presentation
-    ambient_tight: bool
-    loose: bool
-    strongly_nonloose: bool
-    transverse: bool
-    invariants: ClassicalInvariants
+class EquivClass(namedtuple("EquivClass", "size representative ambient_tight loose "
+                            "strongly_nonloose transverse invariants")):
+    __slots__ = ()
 
     @classmethod
     def of(

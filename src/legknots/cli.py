@@ -7,10 +7,8 @@ Output is deterministic (sorted keys, fixed iteration orders).  Exit codes:
 """
 
 import argparse
-import dataclasses
 import functools
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
@@ -35,15 +33,14 @@ def _float(value: float) -> str:
     return float.__repr__(value)
 
 
-# JSON text of each scalar type; a Fraction is the string "n/d".  bool comes
-# before its base class int for the isinstance scan of _render_into.
+# JSON text of each scalar type.  bool comes before its base class int for
+# the isinstance scan of _render_into.
 _SCALARS = {
     bool: {True: "true", False: "false"}.__getitem__,
     str: _quote,
     int: int.__repr__,
     type(None): lambda _: "null",
     float: _float,
-    Fraction: lambda value: f'"{value.numerator}/{value.denominator}"',
 }
 
 
@@ -87,10 +84,9 @@ def _render_into(pieces: list, value, newline: str) -> None:
 
 
 def _render(payload) -> str:
-    """The bytes of json.dumps(payload, indent=2, sort_keys=True), with each
-    Fraction as the string "n/d", built in one pass; dict keys must be
-    strings.  With ``indent`` set, CPython's json falls back to its
-    pure-Python encoder, which is about twice as slow."""
+    """The bytes of json.dumps(payload, indent=2, sort_keys=True), built in
+    one pass; dict keys must be strings.  With ``indent`` set, CPython's json
+    falls back to its pure-Python encoder, which is about twice as slow."""
     pieces: list = []
     _render_into(pieces, payload, "\n")
     return "".join(pieces)
@@ -137,26 +133,28 @@ def cmd_cf(args) -> int:
 def cmd_params(args) -> int:
     params = torus_knot_params(args.p, args.q)
     chains = [
-        {"coefficient": coeff, "entries": list(cf), "tb": list(chain_tbs(cf))}
+        {"coefficient": "%d/%d" % coeff, "entries": list(cf), "tb": list(chain_tbs(cf))}
         for coeff, cf in zip(
             (params.chain1_coefficient, params.chain2_coefficient),
             complementary_expansions(params),
         )
     ]
-    s1, s2 = params.seifert_constants
+    s1, s2 = ("%d/%d" % ratio for ratio in params.seifert_constants)
     payload = {
-        **dataclasses.asdict(params),
+        **params._asdict(),
         "genus": params.genus,
         "seifert_constants": [s1, s2],
         "chains": chains,
     }
+    # the text drops a denominator of 1
     _emit(args, payload, lambda: [
         f"T({params.p}, -{params.q}):  q = {params.n}p - {params.k}",
         f"  c = {params.c}, d = {params.d}, p' = {params.p_prime}, q' = {params.q_prime}",
         f"  genus = {params.genus}",
         f"  Seifert constants {s1}, {s2}",
     ] + [
-        f"  chain {i}: coefficient {c['coefficient']} -> entries {c['entries']}, tb {c['tb']}"
+        f"  chain {i}: coefficient {c['coefficient'].removesuffix('/1')} -> entries "
+        f"{c['entries']}, tb {c['tb']}"
         for i, c in enumerate(chains, 1)
     ])
     return 0

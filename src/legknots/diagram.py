@@ -17,7 +17,7 @@ stab_pos positive and stab_neg negative stabilizations.
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cf import complementary_expansions, torus_knot_params
 
@@ -29,7 +29,7 @@ MAX_CURVES = 64
 # Upper bound on one enumeration, prod |tb| * (level + 1), times 5/m for m
 # curves (5 is the fewest).  `enumerate --json` takes 3.9 + 0.22 m kB per
 # presentation, so the peak is highest at m = 5: `enumerate 2 3 --level 19999
-# --json`, 424 MB RSS in 3.6 s on that host, under 512 MB.  Verify needs 696.
+# --json`, 416 MB RSS in 2.3-3.4 s on that host, under 512 MB.  Verify needs 696.
 MAX_PRESENTATIONS = 80_000
 
 
@@ -61,16 +61,10 @@ def is_fully_negative(rot: int, tb: int) -> bool:
 # ---- presentations
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(namedtuple("Presentation", "p q rots1 rots2 stab_pos stab_neg", defaults=(0, 0))):
     """One choice of rotation numbers and knot stabilizations for T(p, -q)."""
 
-    p: int
-    q: int
-    rots1: tuple[int, ...]
-    rots2: tuple[int, ...]
-    stab_pos: int = 0
-    stab_neg: int = 0
+    __slots__ = ()
 
     @property
     def level(self) -> int:

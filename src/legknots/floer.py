@@ -36,7 +36,7 @@ gradings against the graded Euler characteristic.
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cf import VerificationError
 from .classify import transverse_classes
@@ -93,14 +93,11 @@ def alexander_exponents(p: int, q: int) -> tuple[int, ...]:
 # ---- staircase complex
 
 
-@dataclass(frozen=True)
-class StaircaseComplex:
-    """Bigraded staircase generators; even indices survive to homology."""
+class StaircaseComplex(namedtuple("StaircaseComplex", "p q gradings gaps")):
+    """Bigraded staircase generators; even indices survive to homology.
+    gradings[i] = (A, M) of x_i; gaps[i] = A(x_{2i}) - A(x_{2i+1}) >= 1."""
 
-    p: int
-    q: int
-    gradings: tuple[tuple[int, int], ...]  # (A, M) for x_0, x_1, ...
-    gaps: tuple[int, ...]  # gaps[i] = A(x_{2i}) - A(x_{2i+1}) >= 1
+    __slots__ = ()
 
 
 def staircase(p: int, q: int) -> StaircaseComplex:
@@ -157,13 +154,10 @@ def _homology_is_sphere(d: dict[int, dict[int, int]], generators: int) -> bool:
 # ---- graded module
 
 
-@dataclass(frozen=True, slots=True)
-class Tower:
+class Tower(namedtuple("Tower", "order bottom_alexander bottom_maslov")):
     """A cyclic F_2[U] summand; order is the U-torsion exponent, None = free."""
 
-    order: int | None
-    bottom_alexander: int
-    bottom_maslov: int
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -173,9 +167,8 @@ class Tower:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class GradedModule:
-    towers: tuple[Tower, ...]
+class GradedModule(namedtuple("GradedModule", "towers")):
+    __slots__ = ()
 
     def finite_orders(self) -> tuple[int, ...]:
         return tuple(sorted(t.order for t in self.towers if t.order is not None))

@@ -43,8 +43,7 @@ surgered d3 is read off the knot's own invariants:
 """
 
 import functools
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from .cf import _continuant, merged_lens_entries
 from .diagram import Presentation, chain_expansions, chains_for, enumerate_presentations
@@ -93,12 +92,10 @@ def _dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
-class _Kernel:
-    inverse: tuple[tuple[int, ...], ...]  # Q^{-1}
-    w: tuple[int, ...]  # Q^{-1} lk
-    lk_norm: int  # lk^T Q^{-1} lk
-    sigma: int  # sig(Q)
+class _Kernel(namedtuple("_Kernel", "inverse w lk_norm sigma")):
+    """inverse = Q^{-1} as rows, w = Q^{-1} lk, lk_norm = lk^T Q^{-1} lk, sigma = sig(Q)."""
+
+    __slots__ = ()
 
     def r_norm(self, r) -> int:
         """r^T Q^{-1} r."""
@@ -125,8 +122,7 @@ def _kernel(p: int, q: int) -> _Kernel:
 # ---- invariants
 
 
-@dataclass(frozen=True)
-class ClassicalInvariants:
+class ClassicalInvariants(namedtuple("ClassicalInvariants", "tb rot d3 alexander maslov")):
     """tb, rot and ambient d3, plus the derived bigrading.
 
     alexander = (tb - rot + 1) / 2 and maslov = 2 * alexander - d3 locate the
@@ -134,11 +130,7 @@ class ClassicalInvariants:
     presentation (tb - rot is odd).
     """
 
-    tb: int
-    rot: int
-    d3: int
-    alexander: int
-    maslov: int
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"tb": self.tb, "rot": self.rot, "d3": self.d3, "A": self.alexander, "M": self.maslov}
@@ -161,7 +153,7 @@ def classical_invariants(pres: Presentation) -> ClassicalInvariants:
     # 4 * d3: two (+1)-curves and the normalization give 4 * (2 + 1/2)
     four = kernel.r_norm(r) - 3 * kernel.sigma - 2 * (1 + len(r)) + 10
     if four % 4:
-        raise ArithmeticError(f"non-integral normalized d3 {Fraction(four, 4)} for {pres}")
+        raise ArithmeticError(f"non-integral normalized d3 {four}/4 for {pres}")
     d3 = four // 4
     return ClassicalInvariants(tb, rot, d3, *bigrading(tb, rot, d3))
 
@@ -178,11 +170,12 @@ def presentations_with_invariants(p: int, q: int, level: int):
         )
 
 
-def d3_surgered(pres: Presentation) -> Fraction:
-    """Unnormalized d3 of the result of contact (-1)-surgery on the knot."""
+def d3_surgered(pres: Presentation) -> int:
+    """4s times the unnormalized d3 of contact (-1)-surgery on the knot, with
+    s = tb - 1: an integer, and s is fixed within one knot and level."""
     inv = classical_invariants(pres)
     s = inv.tb - 1
-    return inv.d3 - 1 + Fraction(inv.rot**2 - 3 * abs(s), 4 * s)
+    return 4 * s * (inv.d3 - 1) + inv.rot**2 - 3 * abs(s)
 
 
 # ---- smooth-topology oracle

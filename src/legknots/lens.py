@@ -13,19 +13,17 @@ counting the image.
 """
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cf import VerificationError, honda_count, merged_lens_entries
 from .diagram import Presentation, chain_expansions, enumerate_presentations, rotation_range
 from .invariants import d3_surgered
 
 
-@dataclass(frozen=True)
-class LensChain:
+class LensChain(namedtuple("LensChain", "framings rots")):
     """Chain of unknots with smooth surgery framings and rotation numbers."""
 
-    framings: tuple[int, ...]
-    rots: tuple[int, ...]
+    __slots__ = ()
 
 
 @functools.lru_cache(maxsize=None)
@@ -81,7 +79,7 @@ def surjectivity_check(p: int, q: int) -> dict:
         values = {d3_surgered(presentations[i]) for i in ids}
         if len(values) != 1:
             raise VerificationError(
-                f"fiber over {chain} mixes d3 values {sorted(values)}"
+                f"fiber over {chain} mixes 4s * d3 values {sorted(values)}"
             )
     u = p * q + 1
     count = honda_count(u, p * p % u)

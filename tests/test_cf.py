@@ -113,9 +113,9 @@ def test_params_5_8():
     assert (params.n, params.k, params.c, params.d) == (2, 2, 3, 1)
     assert (params.p_prime, params.q_prime) == (3, 5)
     assert params.genus == 14
-    assert params.seifert_constants == (Fraction(2, 5), Fraction(5, 8))
-    assert params.chain1_coefficient == Fraction(-5, 2)
-    assert params.chain2_coefficient == Fraction(-8, 5)
+    assert params.seifert_constants == ((2, 5), (5, 8))
+    assert params.chain1_coefficient == (-5, 2)
+    assert params.chain2_coefficient == (-8, 5)
 
 
 def test_params_unimodular_everywhere():

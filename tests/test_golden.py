@@ -10,6 +10,8 @@ from legknots.cli import main
 
 JSON_DIGESTS = {
     ("params", "5", "8"): "db30375d31772a50c02bdf29fe466cb41e8ff20310be1c07cece674ed85c5a66",
+    # the one ratio with denominator 1: chain 1's coefficient "-2/1"
+    ("params", "2", "3"): "adb737e2932e7fcc001973196d3f2201c1b7a5450f09b032edbb2d4981d5e82d",
     ("enumerate", "5", "8", "--level", "1"): (
         "97d6533ed7e228c67087568f60ba54751969b5727719cb4e9ba93f4277eb0ba9"
     ),
@@ -43,6 +45,8 @@ JSON_DIGESTS = {
 
 TEXT_DIGESTS = {
     ("params", "5", "8"): "b894299e2b465b8c81f1dfd9861f985ccb20c06398a072c955cfe0e36c0d31e7",
+    # the text drops that denominator: "coefficient -2"
+    ("params", "2", "3"): "8b0f08141e5042b5e8602dc35edd2a302c0c3b07089ef02bf5fdc3e8ed53396c",
     ("enumerate", "5", "8", "--level", "1"): (
         "2804b0e697fe025f5b50c767d865e6a638337828236dbf211aca10658c5c0e29"
     ),

@@ -171,8 +171,14 @@ def test_d3_surgered_conjugation_invariant():
 
 
 def test_d3_surgered_is_a_fraction():
-    value = d3_surgered(Presentation(2, 3, (1,), (1, 0)))
-    assert isinstance(value, Fraction)
+    """The surgered d3 is a fraction over 4s, s = tb - 1, and d3_surgered
+    returns it times 4s as an int: here 0 (s = -7) and 5/8 (s = -8)."""
+    values = [
+        d3_surgered(Presentation(2, 3, (1,), (1, 0))),
+        d3_surgered(Presentation(2, 3, (-1,), (-1, 0), 0, 1)),
+    ]
+    assert values == [0, -32 * Fraction(5, 8)]
+    assert all(type(value) is int for value in values)
 
 
 def test_smooth_topology_reports():
@@ -195,14 +201,15 @@ def test_kernel_matches_fraction_oracle(p, q):
             inv = classical_invariants(pres)
             assert (inv.tb, inv.rot, inv.d3) == (tb, rot, d3)
             assert bigrading(tb, rot, d3) == (inv.alexander, inv.maslov)
-            assert d3_surgered(pres) == surgered
+            assert d3_surgered(pres) == 4 * (tb - 1) * surgered
 
 
 def test_d3_surgered_sweep_matches_fraction_oracle():
     for p, q in coprime_pairs(60):
         for level in range(3):
             for pres in enumerate_presentations(p, q, level):
-                assert d3_surgered(pres) == invariants_oracle(pres)[3]
+                tb, _, _, surgered = invariants_oracle(pres)
+                assert d3_surgered(pres) == 4 * (tb - 1) * surgered
 
 
 def test_expansions_run_once_per_knot(monkeypatch):

@@ -44,7 +44,7 @@ def test_kernel_matches_fraction_oracle(pres):
     tb, rot, d3, surgered = invariants_oracle(pres)
     inv = classical_invariants(pres)
     assert (inv.tb, inv.rot, inv.d3) == (tb, rot, d3)
-    assert d3_surgered(pres) == surgered
+    assert d3_surgered(pres) == 4 * (tb - 1) * surgered
 
 
 @settings(max_examples=150, deadline=None)
@@ -63,19 +63,12 @@ def test_knot_commands_exit_0_or_2(command, p, q):
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
-def _fraction_as_string(value):
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    raise TypeError(value)
-
-
 _json_scalars = (
     st.none()
     | st.booleans()
     | st.integers(-(2**80), 2**80)
     | st.floats(allow_nan=False)
     | st.text(st.characters(codec="utf-8"))
-    | st.fractions()
 )
 _json_payloads = st.recursive(
     _json_scalars,
@@ -89,13 +82,14 @@ _json_payloads = st.recursive(
 @settings(max_examples=100, deadline=None)
 @given(_json_payloads)
 @example([[], {}, (), {"": None}])
-@example([float("nan"), float("inf"), -float("inf"), -(2**70), Fraction(-5, 2)])
+@example([float("nan"), float("inf"), -float("inf"), -(2**70)])
 @example({"\x00\u00e9\n": "\x1f\U0001f600"})
 def test_render_matches_json_dumps(payload):
-    expected = json.dumps(payload, indent=2, sort_keys=True, default=_fraction_as_string)
+    expected = json.dumps(payload, indent=2, sort_keys=True)
     assert _render(payload) == expected
 
 
 def test_render_refuses_unsupported_types():
-    with pytest.raises(TypeError):
-        _render({"members": {1, 2}})
+    for value in ({1, 2}, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            _render({"members": value})
