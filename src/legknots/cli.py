@@ -9,7 +9,7 @@ Output is deterministic (sorted keys, fixed iteration orders).  Exit codes:
 import argparse
 import functools
 import sys
-from json.encoder import encode_basestring_ascii as _quote
+from _json import encode_basestring_ascii as _quote
 
 from . import __version__
 from .cf import VerificationError, complementary_expansions, neg_cf, torus_knot_params

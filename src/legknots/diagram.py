@@ -156,8 +156,7 @@ def rotation_vectors(p: int, q: int, level: int = 0):
 
 def enumerate_presentations(p: int, q: int, level: int = 0):
     """All presentations of T(p, -q) with stab_pos + stab_neg == level: for
-    each of rotation_vectors, stab_pos = 0, ..., level, so a new rotation
-    vector starts exactly where stab_pos == 0."""
+    each of rotation_vectors, stab_pos = 0, ..., level."""
     for rots1, rots2 in rotation_vectors(p, q, level):
         for pos in range(level + 1):
             yield Presentation(p, q, rots1, rots2, pos, level - pos)

@@ -1,7 +1,8 @@
 """What the runtime modules import, and the value types they define.
 
 Every name a runtime module imports is used in that module; the CLI loads
-neither dataclasses nor fractions; every value type is immutable and slotted.
+none of dataclasses, fractions, decimal, random and json; every value type
+is immutable and slotted.
 """
 
 import ast
@@ -43,11 +44,12 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def test_cli_import_leaves_out_dataclasses_and_fractions():
+def test_cli_import_leaves_out_heavy_stdlib_modules():
     # -S keeps the host's site hooks out of sys.modules
+    heavy = {"dataclasses", "fractions", "decimal", "random", "json"}
     script = (
         "import sys; import legknots.cli; legknots.cli.build_parser(); "
-        "print(sorted({'dataclasses', 'fractions'} & set(sys.modules)))"
+        f"print(sorted({heavy!r} & set(sys.modules)))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(legknots.__file__).parent.parent)}
     proc = subprocess.run(

@@ -255,22 +255,49 @@ def _count_evaluations(monkeypatch):
     return calls
 
 
-def test_classify_reads_kernel_once_per_rotation_vector(monkeypatch):
-    calls = _count_evaluations(monkeypatch)
-    classify.classify_level.cache_clear()
-    try:
-        classes = classify.classify_level(5, 8, 3)
-    finally:
-        classify.classify_level.cache_clear()
-    assert sum(cls.size for cls in classes) == 48
-    assert len(calls) == 12
-    assert all((pres.stab_pos, pres.stab_neg) == (0, 3) for pres in calls)
+@pytest.fixture
+def cold_tables():
+    """Empty the per-knot table and classification caches around a test."""
+    cached = (invariants._rotation_table, classify.classify_level)
+    for fn in cached:
+        fn.cache_clear()
+    yield
+    for fn in cached:
+        fn.cache_clear()
 
 
-def test_enumerate_reads_kernel_once_per_rotation_vector(monkeypatch):
-    calls = _count_evaluations(monkeypatch)
-    assert cli.main(["enumerate", "5", "8", "--level", "3", "--quiet"]) == 0
+def _assert_one_read_per_rotation_vector(calls):
+    # T(5, -8) has 12 rotation vectors; every level and split reads the same 12
     assert len(calls) == 12
+    assert len({(pres.rots1, pres.rots2) for pres in calls}) == 12
+    assert all((pres.stab_pos, pres.stab_neg) == (0, 0) for pres in calls)
+
+
+def test_classify_reads_kernel_once_per_rotation_vector(monkeypatch, cold_tables):
+    calls = _count_evaluations(monkeypatch)
+    for level in range(1, 5):
+        classes = classify.classify_level(5, 8, level)
+        assert sum(cls.size for cls in classes) == 12 * (level + 1)
+    for level in range(4):
+        assert sum(1 for _ in presentations_with_invariants(5, 8, level)) == 12 * (level + 1)
+    _assert_one_read_per_rotation_vector(calls)
+
+
+def test_enumerate_reads_kernel_once_per_rotation_vector(monkeypatch, cold_tables):
+    calls = _count_evaluations(monkeypatch)
+    for level in range(4):
+        assert cli.main(["enumerate", "5", "8", "--level", str(level), "--quiet"]) == 0
+    for level in range(1, 5):
+        assert cli.main(["classify", "5", "8", "--level", str(level), "--quiet"]) == 0
+    _assert_one_read_per_rotation_vector(calls)
+
+
+def test_oversized_level_is_refused_before_any_evaluation(monkeypatch, cold_tables):
+    calls = _count_evaluations(monkeypatch)
+    found = presentations_with_invariants(2, 3, 10**6)
+    with pytest.raises(ValueError, match="more than the limit"):
+        next(found)
+    assert calls == []
 
 
 def test_tb_contract_samples_first_middle_and_last(monkeypatch):
