@@ -110,12 +110,17 @@ class TorusKnotParams(namedtuple("TorusKnotParams", "p q n k c d p_prime q_prime
         return -self.q, self.q_prime
 
 
-def torus_knot_params(p: int, q: int) -> TorusKnotParams:
-    """Solve the parameter identities for T(p, -q), with validation."""
+def validate_pair(p: int, q: int) -> None:
+    """Refuse (p, q) unless 2 <= p < q and gcd(p, q) == 1."""
     if not (2 <= p < q):
         raise ValueError(f"need 2 <= p < q, got ({p}, {q})")
     if gcd(p, q) != 1:
         raise ValueError(f"need gcd(p, q) == 1, got ({p}, {q})")
+
+
+def torus_knot_params(p: int, q: int) -> TorusKnotParams:
+    """Solve the parameter identities for T(p, -q), with validation."""
+    validate_pair(p, q)
     n = -(-q // p)
     k = n * p - q
     if not 0 < k < p:

@@ -110,6 +110,8 @@ def _rotation_key(pres: Presentation) -> str:
     return f"{list(pres.rots1)}{list(pres.rots2)}"
 
 
+# No request reads a level twice; the cache stays while the benchmark's
+# tracer reads classify_level.cache_info().
 @functools.lru_cache(maxsize=None)
 def classify_level(p: int, q: int, level: int) -> tuple[EquivClass, ...]:
     """Partition all level-`level` presentations of T(p, -q) into classes,

@@ -260,28 +260,20 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--quiet", action="store_true", help="suppress stdout output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def knot_command(name, func, help_text, extra=None, operands=("p", "q")):
+    def knot_command(name, func, help_text, level=None, operands=("p", "q")):
+        """A subcommand on int operands; `level` is the --level default, or None for none."""
         cmd = sub.add_parser(name, parents=[common], help=help_text)
         for operand in operands:
             cmd.add_argument(operand, type=int)
-        if extra:
-            extra(cmd)
+        if level is not None:
+            cmd.add_argument("--level", type=int, default=level)
         cmd.set_defaults(func=func)
 
     knot_command("cf", cmd_cf, "negative continued fraction of num/den", operands=("num", "den"))
     knot_command("params", cmd_params, "numerical data attached to T(p, -q)")
-    knot_command(
-        "enumerate",
-        cmd_enumerate,
-        "all presentations at one stabilization level, with invariants",
-        extra=lambda cmd: cmd.add_argument("--level", type=int, default=0),
-    )
-    knot_command(
-        "classify",
-        cmd_classify,
-        "equivalence classes of the level-l presentations",
-        extra=lambda cmd: cmd.add_argument("--level", type=int, default=1),
-    )
+    knot_command("enumerate", cmd_enumerate, "all presentations at one stabilization level, with invariants",
+                 level=0)
+    knot_command("classify", cmd_classify, "equivalence classes of the level-l presentations", level=1)
     knot_command("transverse", cmd_transverse, "strongly non-loose transverse classes")
     knot_command("hfk", cmd_hfk, "tower decomposition of HFK-minus of T(p, q)")
     knot_command("match", cmd_match, "locate transverse classes at tower bottoms")

@@ -28,8 +28,10 @@ MAX_CURVES = 64
 
 # Upper bound on one enumeration, prod |tb| * (level + 1), times 5/m for m
 # curves (5 is the fewest).  `enumerate --json` takes 3.9 + 0.22 m kB per
-# presentation, so the peak is highest at m = 5: `enumerate 2 3 --level 19999
-# --json`, 416 MB RSS in 2.3-3.4 s on that host, under 512 MB.  Verify needs 696.
+# presentation, so the peak is highest at m = 5.  On that host the highest
+# admitted peak, under 512 MB, is `classify 2 40001 --json` (80,000
+# singleton classes): 507 MB RSS in 4.0-4.8 s; `enumerate 2 3 --level 19999
+# --json` takes 419 MB in 2.1-2.4 s.  Verify needs 696.
 MAX_PRESENTATIONS = 80_000
 
 

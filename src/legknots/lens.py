@@ -12,7 +12,6 @@ space gives the size of the target and surjectivity can be checked by
 counting the image.
 """
 
-import functools
 from collections import namedtuple
 
 from .cf import VerificationError, honda_count, merged_lens_entries
@@ -26,16 +25,6 @@ class LensChain(namedtuple("LensChain", "framings rots")):
     __slots__ = ()
 
 
-@functools.lru_cache(maxsize=None)
-def _lens_entries(p: int, q: int) -> tuple[int, ...]:
-    """The merged chain entries shared by every presentation of T(p, -q)."""
-    cf1, cf2 = chain_expansions(p, q)
-    entries = merged_lens_entries(cf1, cf2)
-    if len(entries) != len(cf1) + len(cf2) - 1:
-        raise VerificationError("merged chain has the wrong length")
-    return entries
-
-
 def reduce_to_lens_chain(pres: Presentation) -> LensChain:
     """Collapse an unstabilized presentation to its lens-space chain.
 
@@ -45,7 +34,7 @@ def reduce_to_lens_chain(pres: Presentation) -> LensChain:
     """
     if pres.level != 0:
         raise ValueError("only unstabilized presentations reduce to lens chains")
-    entries = _lens_entries(pres.p, pres.q)
+    entries = merged_lens_entries(*chain_expansions(pres.p, pres.q))
     rots = (
         tuple(reversed(pres.rots1[1:]))
         + (pres.rots1[0] - pres.rots2[0],)

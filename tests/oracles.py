@@ -15,8 +15,13 @@ import math
 from fractions import Fraction
 
 from legknots.cf import VerificationError
-from legknots.classify import _class_key
-from legknots.diagram import Presentation, enumerate_presentations, nonvanishing_condition
+from legknots.diagram import (
+    Presentation,
+    enumerate_presentations,
+    is_ambient_tight,
+    leader_extremes,
+    nonvanishing_condition,
+)
 from legknots.invariants import _bordered, _linking, classical_invariants, rotation_vector
 from legknots.linalg import det_bareiss
 
@@ -160,13 +165,28 @@ def invariants_oracle(pres):
     return tb, rot, d3, surgered
 
 
+def class_key(pres: Presentation):
+    """The class of a presentation by the paper's rules, read off the diagram
+    and the invariants alone: in the tight ambient, its rot; a knot stabilized
+    in one sign only (or not at all) with no leader extreme in that sign is
+    strongly non-loose and a class of its own; any other knot is loose, and
+    loose knots share a class exactly when they share (rot, d3)."""
+    inv = classical_invariants(pres)
+    if is_ambient_tight(pres):
+        return "tight", inv.rot
+    fully_positive, fully_negative = leader_extremes(pres)
+    if (pres.stab_pos == 0 and not fully_negative) or (pres.stab_neg == 0 and not fully_positive):
+        return "strongly non-loose", pres
+    return "loose", inv.rot, inv.d3
+
+
 def class_partition(p: int, q: int, level: int) -> dict[Presentation, tuple[Presentation, ...]]:
-    """The level-`level` presentations of T(p, -q) grouped by class key,
+    """The level-`level` presentations of T(p, -q) grouped by class_key(),
     keyed by representative: each class's members sorted by json_text(), the
     first of them its representative."""
     groups: dict = {}
     for pres in enumerate_presentations(p, q, level):
-        groups.setdefault(_class_key(pres, classical_invariants(pres)), []).append(pres)
+        groups.setdefault(class_key(pres), []).append(pres)
     members = (tuple(sorted(group, key=json_text)) for group in groups.values())
     return {group[0]: group for group in members}
 
@@ -179,8 +199,7 @@ def transverse_partition(p: int, q: int) -> list[tuple[Presentation, ...]]:
     groups: dict = {}
     for pres in enumerate_presentations(p, q, 0):
         if nonvanishing_condition(pres):
-            stabilized = pres.stabilize(neg=q)
-            groups.setdefault(_class_key(stabilized, classical_invariants(stabilized)), []).append(pres)
+            groups.setdefault(class_key(pres.stabilize(neg=q)), []).append(pres)
     members = [tuple(sorted(group, key=json_text)) for group in groups.values()]
     return sorted(members, key=lambda g: (-classical_invariants(g[0]).rot, json_text(g[0])))
 

@@ -1,6 +1,7 @@
 """Command-line behavior: output shapes, determinism, exit codes."""
 
 import argparse
+import itertools
 import json
 import time
 
@@ -209,14 +210,15 @@ def test_crashing_check_is_one_fail_line(capsys, monkeypatch):
     def crash():
         raise RuntimeError("boom")
 
-    # Every other check is stubbed so that the test measures the runner only.
-    stubbed = tuple(
-        (name, crash if name == "t58-locations" else (lambda name=name: (True, name)))
-        for name, _ in checks.CHECKS
-    )
+    # Every other check is stubbed, without a budget, so that the test
+    # measures the runner only.
+    stubbed = {
+        name: (crash if name == "t58-locations" else (lambda name=name: (True, name)), None)
+        for name in checks.CHECKS
+    }
     monkeypatch.setattr(checks, "CHECKS", stubbed)
     results = checks.run_all()
-    assert [name for name, _, _ in results] == [name for name, _ in stubbed]
+    assert [name for name, _, _ in results] == list(stubbed)
     for name, ok, detail in results:
         if name == "t58-locations":
             assert (ok, detail) == (False, "RuntimeError: boom")
@@ -226,6 +228,15 @@ def test_crashing_check_is_one_fail_line(capsys, monkeypatch):
     assert code == 1
     assert "[FAIL] t58-locations - RuntimeError: boom" in out
     assert f"{len(stubbed) - 1}/{len(stubbed)} checks passed" in out
+
+
+@pytest.mark.parametrize("name,budget", [("cf-complementarity", 1), ("tb-contract", 10), ("hfk-towers", 30)])
+def test_check_past_its_budget_fails(monkeypatch, name, budget):
+    ticks = itertools.count(0, budget)  # each clock read is one full budget later
+    monkeypatch.setattr(checks, "_clock", lambda: next(ticks))
+    ok, detail = checks.run_check(name)
+    assert ok is False
+    assert detail.endswith(f"(budget {budget}s)")
 
 
 def test_verify_text_report_unchanged_by_out(capsys, tmp_path):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from legknots import diagram, lens
+from legknots import diagram
 from legknots.cf import complementary_expansions, honda_count, torus_knot_params
 from legknots.diagram import Presentation, chain_tbs, enumerate_presentations, rotation_range
 from legknots.invariants import d3_surgered
@@ -98,7 +98,7 @@ def test_expansions_run_once_per_knot(monkeypatch):
         calls.append((params.p, params.q))
         return real(params)
 
-    cached = (diagram.chain_expansions, diagram.chains_for, lens._lens_entries)
+    cached = (diagram.chain_expansions, diagram.chains_for)
     monkeypatch.setattr(diagram, "complementary_expansions", counted)
     for fn in cached:
         fn.cache_clear()
