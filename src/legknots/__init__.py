@@ -14,15 +14,14 @@ from .cf import (
     TorusKnotParams,
     VerificationError,
     complementary_expansions,
-    honda_count,
     neg_cf,
     torus_knot_params,
 )
 from .checks import check_names, run_all
 from .classify import EquivClass, classify_level, transverse_classes
-from .diagram import Presentation, chain_tbs, enumerate_presentations
+from .diagram import Presentation, chain_tbs
 from .floer import GradedModule, Tower, hfk_minus, match_invariants
-from .invariants import ClassicalInvariants, classical_invariants
+from .invariants import ClassicalInvariants, presentations_with_invariants
 from .lens import surjectivity_check
 
 __version__ = "0.1.0"
@@ -37,14 +36,12 @@ __all__ = [
     "VerificationError",
     "chain_tbs",
     "check_names",
-    "classical_invariants",
     "classify_level",
     "complementary_expansions",
-    "enumerate_presentations",
     "hfk_minus",
-    "honda_count",
     "match_invariants",
     "neg_cf",
+    "presentations_with_invariants",
     "run_all",
     "surjectivity_check",
     "torus_knot_params",

@@ -61,7 +61,7 @@ def looseness_verdict(pres: Presentation, shape=None) -> str:
     return "loose"
 
 
-def _class_key(pres: Presentation, inv: ClassicalInvariants, shape=None):
+def _class_key(pres: Presentation, inv: ClassicalInvariants, shape):
     verdict = looseness_verdict(pres, shape)
     if verdict == "tight":
         return ("tight", inv.rot)

@@ -47,7 +47,7 @@ import functools
 import operator
 from collections import namedtuple
 
-from .cf import _continuant, merged_lens_entries
+from .cf import VerificationError, _continuant, merged_lens_entries
 from .diagram import Presentation, chain_expansions, chains_for, rotation_vectors
 from .linalg import adjugate, det_bareiss
 
@@ -94,31 +94,22 @@ def _dot(a, b) -> int:
     return sum(map(operator.mul, a, b))
 
 
-class _Kernel(namedtuple("_Kernel", "inverse w lk_norm sigma")):
-    """inverse = Q^{-1} as rows, w = Q^{-1} lk, lk_norm = lk^T Q^{-1} lk, sigma = sig(Q)."""
-
-    __slots__ = ()
-
-    def r_norm(self, r) -> int:
-        """r^T Q^{-1} r."""
-        return _dot(r, [_dot(row, r) for row in self.inverse])
-
-
 @functools.lru_cache(maxsize=None)
-def _kernel(p: int, q: int) -> _Kernel:
-    """The constants shared by every presentation of T(p, -q), checked."""
+def _kernel(p: int, q: int) -> tuple:
+    """(inverse, w, lk_norm, sigma) = (Q^{-1} as rows, Q^{-1} lk, lk^T Q^{-1} lk,
+    sig(Q)): the constants shared by every presentation of T(p, -q), checked."""
     mat, lk = _linking(p, q)
     det, adj, minors = adjugate(mat)
     if abs(det) != 1:
-        raise ArithmeticError(f"non-integral inverse linking matrix for T({p}, -{q})")
+        raise VerificationError(f"non-integral inverse linking matrix for T({p}, -{q})")
     inverse = tuple(tuple(det * x for x in row) for row in adj)
     w = tuple(_dot(row, lk) for row in inverse)
     lk_norm = _dot(lk, w)
     # det(Q_0) = -det(Q) * lk^T Q^{-1} lk: the determinant-ratio tb formula
     if det_bareiss(_bordered(mat, lk, 0)) != -lk_norm * det_bareiss(mat):
-        raise ArithmeticError(f"tb from Q^-1 disagrees with the determinant ratio for T({p}, -{q})")
+        raise VerificationError(f"tb from Q^-1 disagrees with the determinant ratio for T({p}, -{q})")
     negative = sum(a * b < 0 for a, b in zip((1,) + minors, minors))
-    return _Kernel(inverse, w, lk_norm, len(mat) - 2 * negative)
+    return inverse, w, lk_norm, len(mat) - 2 * negative
 
 
 # ---- invariants
@@ -148,14 +139,14 @@ def bigrading(tb: int, rot: int, d3: int) -> tuple[int, int]:
 
 def classical_invariants(pres: Presentation) -> ClassicalInvariants:
     """tb, rot and the normalized ambient d3 from one kernel lookup."""
-    kernel = _kernel(pres.p, pres.q)
+    inverse, w, lk_norm, sigma = _kernel(pres.p, pres.q)
     r = rotation_vector(pres)
-    tb = -1 - pres.level - kernel.lk_norm
-    rot = pres.stab_pos - pres.stab_neg - _dot(r, kernel.w)
-    # 4 * d3: two (+1)-curves and the normalization give 4 * (2 + 1/2)
-    four = kernel.r_norm(r) - 3 * kernel.sigma - 2 * (1 + len(r)) + 10
+    tb = -1 - pres.level - lk_norm
+    rot = pres.stab_pos - pres.stab_neg - _dot(r, w)
+    # 4 * d3 with r^T Q^{-1} r: two (+1)-curves and the normalization give 4 * (2 + 1/2)
+    four = _dot(r, [_dot(row, r) for row in inverse]) - 3 * sigma - 2 * (1 + len(r)) + 10
     if four % 4:
-        raise ArithmeticError(f"non-integral normalized d3 {four}/4 for {pres}")
+        raise VerificationError(f"non-integral normalized d3 {four}/4 for {pres}")
     d3 = four // 4
     return ClassicalInvariants(tb, rot, d3, *bigrading(tb, rot, d3))
 
@@ -184,10 +175,9 @@ def presentations_with_invariants(p: int, q: int, level: int):
             ) if level else inv
 
 
-def d3_surgered(pres: Presentation) -> int:
-    """4s times the unnormalized d3 of contact (-1)-surgery on the knot, with
-    s = tb - 1: an integer, and s is fixed within one knot and level."""
-    inv = classical_invariants(pres)
+def d3_surgered(inv: ClassicalInvariants) -> int:
+    """4s times the unnormalized d3 of contact (-1)-surgery on the knot with
+    invariants inv, s = tb - 1: an integer; s is fixed within one knot and level."""
     s = inv.tb - 1
     return 4 * s * (inv.d3 - 1) + inv.rot**2 - 3 * abs(s)
 

@@ -15,8 +15,8 @@ counting the image.
 from collections import namedtuple
 
 from .cf import VerificationError, honda_count, merged_lens_entries
-from .diagram import Presentation, chain_expansions, enumerate_presentations, rotation_range
-from .invariants import d3_surgered
+from .diagram import Presentation, chain_expansions, rotation_range
+from .invariants import d3_surgered, presentations_with_invariants
 
 
 class LensChain(namedtuple("LensChain", "framings rots")):
@@ -60,12 +60,12 @@ def surjectivity_check(p: int, q: int) -> dict:
     order.  Raises VerificationError if two presentations in one fiber
     disagree on the normalized d3 invariant of the surgered manifold.
     """
-    presentations = list(enumerate_presentations(p, q, 0))
+    table = list(presentations_with_invariants(p, q, 0))
     fibers: dict[LensChain, list[int]] = {}
-    for idx, pres in enumerate(presentations):
+    for idx, (pres, _) in enumerate(table):
         fibers.setdefault(reduce_to_lens_chain(pres), []).append(idx)
     for chain, ids in fibers.items():
-        values = {d3_surgered(presentations[i]) for i in ids}
+        values = {d3_surgered(table[i][1]) for i in ids}
         if len(values) != 1:
             raise VerificationError(
                 f"fiber over {chain} mixes 4s * d3 values {sorted(values)}"

@@ -134,6 +134,26 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_unknown_only_name_exits_2_through_argparse(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--only", "no-such-check"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'no-such-check'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("runner", [checks.run_check, lambda name: checks.run_all([name])])
+def test_unknown_check_name_raises_key_error(runner):
+    with pytest.raises(KeyError, match="no-such-check"):
+        runner("no-such-check")
+
+
+def test_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "legknots 0.1.0\n"
+
+
 def test_value_errors_exit_2(capsys):
     code, _, err = run(capsys, "cf", "8", "6")
     assert code == 2 and "error" in err

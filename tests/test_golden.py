@@ -85,14 +85,12 @@ PUBLIC_NAMES = [
     "VerificationError",
     "chain_tbs",
     "check_names",
-    "classical_invariants",
     "classify_level",
     "complementary_expansions",
-    "enumerate_presentations",
     "hfk_minus",
-    "honda_count",
     "match_invariants",
     "neg_cf",
+    "presentations_with_invariants",
     "run_all",
     "surjectivity_check",
     "torus_knot_params",

@@ -63,7 +63,6 @@ _PRES = diagram.Presentation(2, 3, (1,), (1, 0))
 VALUES = [
     (cf.TorusKnotParams, lambda: cf.torus_knot_params(5, 8), "p"),
     (diagram.Presentation, lambda: _PRES, "stab_pos"),
-    (invariants._Kernel, lambda: invariants._kernel(2, 3), "sigma"),
     (invariants.ClassicalInvariants, lambda: invariants.classical_invariants(_PRES), "tb"),
     (classify.EquivClass, lambda: classify.transverse_classes(5, 8)[0], "size"),
     (lens.LensChain, lambda: lens.reduce_to_lens_chain(_PRES), "rots"),

@@ -22,7 +22,7 @@ from legknots.invariants import (
     rotation_vector,
     validate_smooth_topology,
 )
-from legknots.linalg import det_bareiss
+from legknots.linalg import adjugate, det_bareiss
 from oracles import coprime_pairs, invariants_oracle
 
 
@@ -167,18 +167,53 @@ def test_t58_nonvanishing_locations():
 
 def test_d3_surgered_conjugation_invariant():
     for pres in enumerate_presentations(2, 5, 0):
-        assert d3_surgered(pres.conjugate()) == d3_surgered(pres)
+        conj = classical_invariants(pres.conjugate())
+        assert d3_surgered(conj) == d3_surgered(classical_invariants(pres))
 
 
 def test_d3_surgered_is_a_fraction():
     """The surgered d3 is a fraction over 4s, s = tb - 1, and d3_surgered
     returns it times 4s as an int: here 0 (s = -7) and 5/8 (s = -8)."""
     values = [
-        d3_surgered(Presentation(2, 3, (1,), (1, 0))),
-        d3_surgered(Presentation(2, 3, (-1,), (-1, 0), 0, 1)),
+        d3_surgered(classical_invariants(Presentation(2, 3, (1,), (1, 0)))),
+        d3_surgered(classical_invariants(Presentation(2, 3, (-1,), (-1, 0), 0, 1))),
     ]
     assert values == [0, -32 * Fraction(5, 8)]
     assert all(type(value) is int for value in values)
+
+
+def _off_by_one_sigma(p, q, kernel=invariants._kernel):
+    inverse, w, lk_norm, sigma = kernel(p, q)
+    return inverse, w, lk_norm, sigma + 1
+
+
+def _even_det_adjugate(mat):
+    det, adj, minors = adjugate(mat)
+    return 2 * det, adj, minors
+
+
+# One broken input per cross-check: the determinant ratio, the integral
+# inverse and the integral d3.
+BROKEN = [
+    ("det_bareiss", lambda mat: 7, "disagrees with the determinant ratio"),
+    ("adjugate", _even_det_adjugate, "non-integral inverse linking matrix"),
+    ("_kernel", _off_by_one_sigma, "non-integral normalized d3"),
+]
+
+
+@pytest.mark.parametrize("name,broken,message", BROKEN, ids=[name for name, _, _ in BROKEN])
+def test_failed_cross_check_exits_1(capsys, monkeypatch, name, broken, message):
+    tables = (invariants._kernel, invariants._rotation_table)
+    for fn in tables:
+        fn.cache_clear()
+    monkeypatch.setattr(invariants, name, broken)
+    try:
+        assert cli.main(["enumerate", "2", "3", "--quiet"]) == 1
+    finally:
+        for fn in tables:
+            fn.cache_clear()
+    err = capsys.readouterr().err
+    assert err.startswith("verification failed: ") and message in err
 
 
 def test_smooth_topology_reports():
@@ -201,7 +236,7 @@ def test_kernel_matches_fraction_oracle(p, q):
             inv = classical_invariants(pres)
             assert (inv.tb, inv.rot, inv.d3) == (tb, rot, d3)
             assert bigrading(tb, rot, d3) == (inv.alexander, inv.maslov)
-            assert d3_surgered(pres) == 4 * (tb - 1) * surgered
+            assert d3_surgered(classical_invariants(pres)) == 4 * (tb - 1) * surgered
 
 
 def test_d3_surgered_sweep_matches_fraction_oracle():
@@ -209,7 +244,7 @@ def test_d3_surgered_sweep_matches_fraction_oracle():
         for level in range(3):
             for pres in enumerate_presentations(p, q, level):
                 tb, _, _, surgered = invariants_oracle(pres)
-                assert d3_surgered(pres) == 4 * (tb - 1) * surgered
+                assert d3_surgered(classical_invariants(pres)) == 4 * (tb - 1) * surgered
 
 
 def test_expansions_run_once_per_knot(monkeypatch):

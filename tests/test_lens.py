@@ -7,7 +7,7 @@ import pytest
 from legknots import diagram
 from legknots.cf import complementary_expansions, honda_count, torus_knot_params
 from legknots.diagram import Presentation, chain_tbs, enumerate_presentations, rotation_range
-from legknots.invariants import d3_surgered
+from legknots.invariants import classical_invariants, d3_surgered
 from legknots.lens import LensChain, reduce_to_lens_chain, surjectivity_check
 
 
@@ -76,7 +76,7 @@ def test_fibers_share_surgered_d3():
         presentations = list(enumerate_presentations(p, q, 0))
         report = surjectivity_check(p, q)
         for fiber in report["fibers"]:
-            values = {d3_surgered(presentations[i]) for i in fiber}
+            values = {d3_surgered(classical_invariants(presentations[i])) for i in fiber}
             assert len(values) == 1
 
 

@@ -44,7 +44,7 @@ def test_kernel_matches_fraction_oracle(pres):
     tb, rot, d3, surgered = invariants_oracle(pres)
     inv = classical_invariants(pres)
     assert (inv.tb, inv.rot, inv.d3) == (tb, rot, d3)
-    assert d3_surgered(pres) == 4 * (tb - 1) * surgered
+    assert d3_surgered(classical_invariants(pres)) == 4 * (tb - 1) * surgered
 
 
 @settings(max_examples=150, deadline=None)
