@@ -61,15 +61,6 @@ def looseness_verdict(pres: Presentation, shape=None) -> str:
     return "loose"
 
 
-def _class_key(pres: Presentation, inv: ClassicalInvariants, shape):
-    verdict = looseness_verdict(pres, shape)
-    if verdict == "tight":
-        return ("tight", inv.rot)
-    if verdict == "strongly_nonloose":
-        return ("snl", pres.rots1, pres.rots2, pres.stab_pos, pres.stab_neg)
-    return ("loose", inv.rot, inv.d3)
-
-
 # ---- classes
 
 
@@ -78,14 +69,10 @@ class EquivClass(namedtuple("EquivClass", "size representative ambient_tight loo
     __slots__ = ()
 
     @classmethod
-    def of(
-        cls, rep: Presentation, inv: ClassicalInvariants, size: int = 1, shape=None
-    ) -> "EquivClass":
-        """The class of `size` members represented by `rep`; it is transverse
-        when it survives every further negative stabilization as strongly
-        non-loose."""
-        shape = shape or (is_ambient_tight(rep), leader_extremes(rep))
-        verdict = looseness_verdict(rep, shape)
+    def of(cls, rep: Presentation, inv: ClassicalInvariants, size: int, shape, verdict: str) -> "EquivClass":
+        """The class of `size` members represented by `rep`, whose shape and
+        looseness verdict it is given; it is transverse when it survives every
+        further negative stabilization as strongly non-loose."""
         snl = verdict == "strongly_nonloose"
         transverse = snl and rep.stab_pos == 0 and not shape[1][1]
         return cls(size, rep, verdict == "tight", verdict == "loose", snl, transverse, inv)
@@ -117,18 +104,25 @@ def classify_level(p: int, q: int, level: int) -> tuple[EquivClass, ...]:
     """Partition all level-`level` presentations of T(p, -q) into classes,
     reading the kernel, the leader shape and the rotation key once per
     rotation vector: no class holds two members of one (their rot differs)."""
-    buckets: dict = {}  # class key -> [size, least rotation key, its presentation, invariants, shape]
+    buckets: dict = {}  # class key -> [size, least rotation key, its presentation, inv, shape, verdict]
     for pres, inv in presentations_with_invariants(p, q, level):
         if pres.stab_pos == 0:  # a new rotation vector
             key = _rotation_key(pres)
             shape = is_ambient_tight(pres), leader_extremes(pres)
-        bucket = buckets.setdefault(_class_key(pres, inv, shape), [0, key, pres, inv, shape])
+        verdict = looseness_verdict(pres, shape)
+        # a tight class is fixed by rot, a loose one by (rot, d3); strongly non-loose ones are singletons
+        class_key = (
+            (verdict, inv.rot) if verdict == "tight"
+            else pres if verdict == "strongly_nonloose"
+            else (verdict, inv.rot, inv.d3)
+        )
+        bucket = buckets.setdefault(class_key, [0, key, pres, inv, shape, verdict])
         bucket[0] += 1
         if key < bucket[1]:
-            bucket[1:] = key, pres, inv, shape
+            bucket[1:5] = key, pres, inv, shape
     ranked = []  # (sort key, class); no two tie: reps of one rotation vector differ in rot
-    for size, key, pres, inv, shape in buckets.values():
-        cls = EquivClass.of(pres, inv, size, shape)
+    for size, key, pres, inv, shape, verdict in buckets.values():
+        cls = EquivClass.of(pres, inv, size, shape, verdict)
         ranked.append(((not cls.ambient_tight, cls.loose, -inv.rot, inv.d3, key), cls))
     ranked.sort(key=lambda pair: pair[0])  # tight, then strongly non-loose, then loose
     return tuple(cls for _, cls in ranked)
@@ -145,11 +139,12 @@ def ambient_tight_class_count(p: int, q: int, level: int) -> int:
 def transverse_classes(p: int, q: int) -> tuple[EquivClass, ...]:
     """One class per level-0 presentation with nonzero invariant, ordered by
     descending rot (see the module docstring for why none merge)."""
-    classes = [
-        EquivClass.of(pres, classical_invariants(pres))
-        for pres in enumerate_presentations(p, q, 0)
-        if nonvanishing_condition(pres)
-    ]
+    classes = []
+    for pres in enumerate_presentations(p, q, 0):
+        if nonvanishing_condition(pres):
+            shape = is_ambient_tight(pres), leader_extremes(pres)
+            verdict = looseness_verdict(pres, shape)
+            classes.append(EquivClass.of(pres, classical_invariants(pres), 1, shape, verdict))
     classes.sort(key=lambda c: (-c.invariants.rot, _rotation_key(c.representative)))
     return tuple(classes)
 

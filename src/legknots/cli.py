@@ -172,28 +172,24 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+def _emit_classes(args, payload, classes, summary: str) -> int:
+    """Emit `payload` with its "classes" list, or one line per class and `summary`."""
+    payload["classes"] = [cls.to_dict() for cls in classes]
+    _emit(args, payload, lambda: [_format_class(i, cls) for i, cls in enumerate(classes)] + [summary])
+    return 0
+
+
 def cmd_classify(args) -> int:
     classes = classify_level(args.p, args.q, args.level)
-    payload = {
-        "p": args.p,
-        "q": args.q,
-        "level": args.level,
-        "classes": [cls.to_dict() for cls in classes],
-    }
-    _emit(args, payload, lambda: [_format_class(i, cls) for i, cls in enumerate(classes)] + [
-        f"{len(classes)} classes of T({args.p}, -{args.q}) at level {args.level} "
-        f"({sum(cls.size for cls in classes)} presentations)"
-    ])
-    return 0
+    return _emit_classes(args, {"p": args.p, "q": args.q, "level": args.level}, classes,
+                         f"{len(classes)} classes of T({args.p}, -{args.q}) at level {args.level} "
+                         f"({sum(cls.size for cls in classes)} presentations)")
 
 
 def cmd_transverse(args) -> int:
     classes = transverse_classes(args.p, args.q)
-    payload = {"p": args.p, "q": args.q, "classes": [cls.to_dict() for cls in classes]}
-    _emit(args, payload, lambda: [_format_class(i, cls) for i, cls in enumerate(classes)] + [
-        f"{len(classes)} strongly non-loose transverse classes of T({args.p}, -{args.q})"
-    ])
-    return 0
+    return _emit_classes(args, {"p": args.p, "q": args.q}, classes,
+                         f"{len(classes)} strongly non-loose transverse classes of T({args.p}, -{args.q})")
 
 
 def cmd_hfk(args) -> int:

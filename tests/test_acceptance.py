@@ -49,7 +49,9 @@ def test_criterion_05_t58_locations(capsys):
 
 
 def test_criterion_06_hfk_towers(capsys):
-    """Known tower multisets; staircase == Smith == closed form, q <= 30, < 30 s."""
+    """Known tower multisets; for q <= 30, d^2 = 0, the homology of the sphere,
+    each tower against the homology of the associated graded, the closed-form
+    orders and the Euler characteristic; < 30 s."""
     _criterion(capsys, 6, "hfk-towers")
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from legknots import cf
 from legknots.cf import (
     MAX_ENTRIES,
     VerificationError,
@@ -160,6 +161,25 @@ def test_complementary_identity_and_shape():
             assert len(cf2) >= 2
             assert 2 in (cf1[0], cf2[0])
             assert 1 / eval_neg_cf(cf1) + 1 / eval_neg_cf(cf2[:-1]) == 1
+
+
+# the trefoil expands neg_cf(2, 1) = (2,) and neg_cf(3, 2) = (2, 2), with n = 2;
+# entries below 2 let [3, 1] = 3 - 1/1 = 2 stand in for the leader 2
+@pytest.mark.parametrize(
+    "cf1, cf2, message",
+    [
+        ((2,), (2, 3), r"second expansion does not end in n=2: \(2, 3\)"),
+        ((2,), (2,), r"second expansion too short: \(2,\)"),
+        ((3,), (2, 2), r"expansions not complementary: \(3,\) / \(2, 2\)"),
+        ((3, 1), (3, 1, 2), r"no leading 2 in \(3, 1\) / \(3, 1, 2\)"),
+    ],
+    ids=["last-entry", "too-short", "not-complementary", "no-leading-2"],
+)
+def test_complementary_expansions_refuse_bad_expansions(monkeypatch, cf1, cf2, message):
+    params = torus_knot_params(2, 3)
+    monkeypatch.setattr(cf, "neg_cf", lambda num, den: {(2, 1): cf1, (3, 2): cf2}[num, den])
+    with pytest.raises(VerificationError, match=message):
+        complementary_expansions(params)
 
 
 def test_merged_lens_entries():

@@ -1,8 +1,12 @@
 """Coarse classification and the transverse quotient."""
 
+import inspect
+
 import pytest
 
+from legknots import classify
 from legknots.classify import (
+    EquivClass,
     ambient_tight_class_count,
     classify_level,
     looseness_verdict,
@@ -106,6 +110,21 @@ def test_conjugation_acts_on_classes():
         assert image == set(partition[partner.representative])
         assert partner.invariants.rot == -cls.invariants.rot
         assert partner.invariants.d3 == cls.invariants.d3
+
+
+def test_one_verdict_per_presentation(monkeypatch):
+    # a cold classify_level decides each presentation's verdict once, and
+    # EquivClass.of is handed that verdict instead of deciding it again
+    calls = []
+    monkeypatch.setattr(classify, "looseness_verdict", lambda *a: calls.append(a) or looseness_verdict(*a))
+    classify_level.cache_clear()
+    try:
+        classify_level(5, 8, 2)
+    finally:
+        classify_level.cache_clear()
+    assert len(calls) == len(list(enumerate_presentations(5, 8, 2))) == 36
+    params = inspect.signature(EquivClass.of).parameters.values()
+    assert all(param.default is inspect.Parameter.empty for param in params)
 
 
 # ---- transverse classes

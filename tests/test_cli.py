@@ -3,7 +3,9 @@
 import argparse
 import itertools
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +156,17 @@ def test_version(capsys):
     assert capsys.readouterr().out == "legknots 0.1.0\n"
 
 
+def test_version_is_stated_once():
+    # pip metadata takes the version from legknots.__version__, which --version prints
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    tables = dict(block.partition("\n")[::2] for block in re.split(r"^(?=\[)", text, flags=re.M))
+    assert not re.search(r"^version\s*=", tables["[project]"], re.M)
+    assert re.search(r'^dynamic = \["version"\]$', tables["[project]"], re.M)
+    assert re.search(
+        r'^version = \{attr = "legknots\.__version__"\}$', tables["[tool.setuptools.dynamic]"], re.M
+    )
+
+
 def test_value_errors_exit_2(capsys):
     code, _, err = run(capsys, "cf", "8", "6")
     assert code == 2 and "error" in err
@@ -165,6 +178,16 @@ def test_verification_failures_exit_1(capsys):
     # classify at a level is fine, but verify on the known open step fails
     code, _, _ = run(capsys, "verify", "--only", "tight-count-steps", "--quiet")
     assert code == 1
+
+
+def test_lens_not_surjective_exits_1(capsys, monkeypatch):
+    # the report is printed first, then the failure goes to stderr
+    report = {**cli.surjectivity_check(2, 3), "ok": False}
+    monkeypatch.setattr(cli, "surjectivity_check", lambda p, q: report)
+    code, out, err = run(capsys, "lens", "2", "3")
+    assert code == 1
+    assert out == "L(7, 4): Honda count 3, image size 3 -> NOT surjective\nfiber sizes: 1,2,1\n"
+    assert err == "verification failed: lens reduction not surjective for T(2, -3)\n"
 
 
 @pytest.mark.parametrize("command", ["enumerate", "classify"])

@@ -127,6 +127,14 @@ def test_validate_rejects_bad_rotation():
         validate_presentation(Presentation(2, 3, (2,), (1, 0)))
     with pytest.raises(ValueError):
         validate_presentation(Presentation(2, 3, (1,), (0, 0)))
+    with pytest.raises(ValueError, match=r"chain length mismatch: \(1, 0\) for tbs \(-2,\)"):
+        validate_presentation(Presentation(2, 3, (1, 0), (1, 0)))
+
+
+@pytest.mark.parametrize("stabs", [(-1, 0), (0, -1)], ids=["positive", "negative"])
+def test_validate_rejects_negative_stabilizations(stabs):
+    with pytest.raises(ValueError, match="stabilization counts are nonnegative"):
+        validate_presentation(Presentation(2, 3, (1,), (1, 0), *stabs))
 
 
 # ---- distinguished shapes

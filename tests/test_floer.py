@@ -596,6 +596,33 @@ def test_tower_check_needs_distinct_m_minus_2a():
         _check_towers(twins, {}, ())
 
 
+@pytest.fixture
+def cold_hfk():
+    """hfk_minus with its cache cleared before and after the test's patch."""
+    hfk_minus.cache_clear()
+    yield hfk_minus
+    hfk_minus.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "name, fake, message",
+    [
+        # the trefoil's exponents are (1, 0, -1), its differential {1: {0: U, 2: 1}}
+        ("alexander_exponents", lambda p, q: (1, 1, -1), "nonpositive staircase gap"),
+        ("alexander_exponents", lambda p, q: (1, 0, -2), r"does not end at \(-g, -2g\)"),
+        ("differential", lambda _: {1: {0: 0b10, 2: 1}, 2: {3: 1}}, "does not square to zero"),
+        ("differential", lambda _: {}, "not the homology of the sphere"),  # 3 generators, 0 columns
+        ("closed_form_orders", lambda _: (2,), r"torsion orders disagree for T\(2, 3\): towers \(1,\)"),
+        ("euler_characteristic", lambda _: {}, "Euler characteristic does not match"),
+    ],
+    ids=["gap", "staircase-end", "d-squared", "sphere-generators", "closed-form", "euler"],
+)
+def test_failed_hfk_cross_check_raises(monkeypatch, cold_hfk, name, fake, message):
+    monkeypatch.setattr(floer, name, fake)
+    with pytest.raises(VerificationError, match=message):
+        cold_hfk(2, 3)
+
+
 # ---- bigraded dimensions: an F_2-rank check of the tower bottoms
 
 
@@ -666,3 +693,18 @@ def test_match_sweep_never_misses():
         for p in range(2, q):
             if math.gcd(p, q) == 1:
                 match_invariants(p, q)  # raises if a class misses the bottoms
+
+
+def test_match_refuses_a_class_off_the_bottoms(monkeypatch, cold_hfk):
+    real = floer.transverse_classes(5, 8)
+    moved = real[0]._replace(invariants=real[0].invariants._replace(alexander=99))
+    monkeypatch.setattr(floer, "transverse_classes", lambda p, q: (moved, *real[1:]))
+    with pytest.raises(VerificationError, match=r"T\(5, -8\) away from tower bottoms: \[\(99, -26\)\]"):
+        match_invariants(5, 8)
+
+
+def test_match_refuses_two_classes_at_one_bottom(monkeypatch, cold_hfk):
+    real = floer.transverse_classes(5, 8)
+    monkeypatch.setattr(floer, "transverse_classes", lambda p, q: real + real[:1])
+    with pytest.raises(VerificationError, match=r"two transverse classes of T\(5, -8\) share a location"):
+        match_invariants(5, 8)

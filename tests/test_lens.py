@@ -1,11 +1,12 @@
 """Lens-space chain reduction and surjectivity onto tight structures."""
 
+import itertools
 import math
 
 import pytest
 
-from legknots import diagram
-from legknots.cf import complementary_expansions, honda_count, torus_knot_params
+from legknots import diagram, lens
+from legknots.cf import VerificationError, complementary_expansions, honda_count, torus_knot_params
 from legknots.diagram import Presentation, chain_tbs, enumerate_presentations, rotation_range
 from legknots.invariants import classical_invariants, d3_surgered
 from legknots.lens import LensChain, reduce_to_lens_chain, surjectivity_check
@@ -121,3 +122,23 @@ def test_long_chains_are_refused():
     rots1, rots2 = (tuple(rotation_range(tb)[0] for tb in chain_tbs(cf)) for cf in (cf1, cf2))
     with pytest.raises(ValueError, match="has 65 surgery curves, more than the limit of 64"):
         reduce_to_lens_chain(Presentation(62, 63, rots1, rots2))
+
+
+# the trefoil's leaders (2,) and (2, 2) merge into the entries (4, 2)
+@pytest.mark.parametrize(
+    "entries, message",
+    [((4,), "merged chain has the wrong length"), ((2, 2), "rotation 2 illegal on a chain unknot with framing -2")],
+    ids=["length", "rotation"],
+)
+def test_reduction_refuses_a_bad_merged_chain(monkeypatch, entries, message):
+    monkeypatch.setattr(lens, "merged_lens_entries", lambda cf1, cf2: entries)
+    with pytest.raises(VerificationError, match=message):
+        reduce_to_lens_chain(Presentation(2, 3, (1,), (-1, 0)))
+
+
+def test_fiber_with_two_surgered_d3_values_raises(monkeypatch):
+    # the trefoil's fiber [0, 3] has two members; each now reads a new value
+    values = itertools.count()
+    monkeypatch.setattr(lens, "d3_surgered", lambda inv: next(values))
+    with pytest.raises(VerificationError, match=r"mixes 4s \* d3 values \[\d+, \d+\]"):
+        surjectivity_check(2, 3)

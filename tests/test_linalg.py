@@ -40,6 +40,13 @@ def test_det_small_cases():
 def test_det_needs_pivoting():
     assert det_bareiss([[0, 1], [1, 0]]) == -1
     assert det_bareiss([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert det_bareiss([[0, 1], [0, 2]]) == 0  # no row below the zero pivot to swap in
+
+
+@pytest.mark.parametrize("function", [det_bareiss, adjugate])
+def test_non_square_matrices_are_refused(function):
+    with pytest.raises(ValueError, match="matrix must be square"):
+        function([[1, 2, 3], [4, 5, 6]])
 
 
 def test_det_matches_gaussian_oracle():
