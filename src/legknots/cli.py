@@ -92,12 +92,24 @@ def _render(payload) -> str:
     return "".join(pieces)
 
 
+def _tower_json(tower, newline: str) -> str:
+    """_render's text of a Tower's {"bottom_A", "bottom_M", "order"} object
+    at the indent of ``newline``."""
+    inner = newline + "  "
+    order = "null" if tower.order is None else tower.order
+    return (f'{{{inner}"bottom_A": {tower.bottom_alexander},{inner}"bottom_M": {tower.bottom_maslov},'
+            f'{inner}"order": {order}{newline}}}')
+
+
 def _emit(args, payload, report) -> None:
     """Write the JSON payload to --out, then print it (--json) or the text
-    report, the list of lines ``report()`` returns.  Each is built only
+    report, the list of lines ``report()`` returns.  ``payload`` is the
+    payload, or a function that returns its JSON text.  Each is built only
     when it is used: the JSON for --json or --out, the report for neither
     --json nor --quiet."""
-    rendered = _render(payload) if args.json or args.out else None
+    rendered = None
+    if args.json or args.out:
+        rendered = payload() if callable(payload) else _render(payload)
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(rendered + "\n")
@@ -194,7 +206,12 @@ def cmd_transverse(args) -> int:
 
 def cmd_hfk(args) -> int:
     module = hfk_minus(args.p, args.q)
-    payload = {"p": args.p, "q": args.q, **module.to_dict()}
+
+    def payload() -> str:  # _render's text of {"p", "q", "towers"}
+        towers = ",\n    ".join(_tower_json(t, "\n    ") for t in module.towers)
+        return (f'{{\n  "p": {args.p},\n  "q": {args.q},\n  "towers": '
+                + (f"[\n    {towers}\n  ]" if towers else "[]") + "\n}")
+
     _emit(args, payload, lambda: [
         f"{'F[U]' if t.order is None else f'F[U]/U^{t.order}'} tower with bottom at "
         f"({t.bottom_alexander}, {t.bottom_maslov})"

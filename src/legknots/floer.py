@@ -155,13 +155,6 @@ class Tower(namedtuple("Tower", "order bottom_alexander bottom_maslov")):
 
     __slots__ = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "bottom_A": self.bottom_alexander,
-            "bottom_M": self.bottom_maslov,
-        }
-
 
 class GradedModule(namedtuple("GradedModule", "towers")):
     __slots__ = ()
@@ -173,9 +166,6 @@ class GradedModule(namedtuple("GradedModule", "towers")):
         return frozenset(
             (t.bottom_alexander, t.bottom_maslov) for t in self.towers if t.order is not None
         )
-
-    def to_dict(self) -> dict:
-        return {"towers": [t.to_dict() for t in self.towers]}
 
 
 def closed_form_orders(exps: tuple[int, ...]) -> tuple[int, ...]:
@@ -224,7 +214,8 @@ def _check_towers(complex_: StaircaseComplex, d: dict[int, dict[int, int]], towe
         below = alexander[i] if i is not None and graded(i, j) else None
         if (top, below) != ((a, None) if t.order is None else (a + t.order - 1, a - 1)):
             raise VerificationError(
-                f"T({complex_.p}, {complex_.q}): tower {t.to_dict()} does not match the "
+                f"T({complex_.p}, {complex_.q}): tower of order {t.order} at bottom (A, M) = "
+                f"({t.bottom_alexander}, {t.bottom_maslov}) does not match the "
                 f"homology of d on its U-line (top {top}, highest boundary {below})"
             )
 

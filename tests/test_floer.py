@@ -589,6 +589,16 @@ def test_mutated_differential_raises(monkeypatch, column, message):
         hfk_minus.__wrapped__(5, 8)
 
 
+def test_tower_mismatch_names_the_tower():
+    sc = staircase(2, 3)  # towers (1, 1, 0) and (None, -1, -2); the first moved up one U-step
+    with pytest.raises(VerificationError) as exc:
+        _check_towers(sc, differential(sc), (Tower(1, 2, 2), Tower(None, -1, -2)))
+    assert str(exc.value) == (
+        "T(2, 3): tower of order 1 at bottom (A, M) = (2, 2) does not match the "
+        "homology of d on its U-line (top 1, highest boundary 0)"
+    )
+
+
 def test_tower_check_needs_distinct_m_minus_2a():
     # two generators on one U-line would put two basis elements in a bidegree
     twins = StaircaseComplex(2, 3, ((1, 0), (1, 0), (-1, -2)), (1,))

@@ -1,6 +1,6 @@
 """Property tests over random valid presentations (levels 0-3), over the
-exit codes of the knot subcommands, and of the CLI's JSON renderer against
-json.dumps."""
+exit codes of the knot subcommands, and of the CLI's JSON renderer and hfk's
+tower template against json.dumps."""
 
 import contextlib
 import io
@@ -13,8 +13,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from legknots import cli  # noqa: E402
 from legknots.cli import _render, main  # noqa: E402
 from legknots.diagram import Presentation, chains_for, rotation_range  # noqa: E402
+from legknots.floer import GradedModule, Tower  # noqa: E402
 from legknots.invariants import classical_invariants, d3_surgered  # noqa: E402
 from oracles import coprime_pairs, invariants_oracle  # noqa: E402
 
@@ -93,3 +95,40 @@ def test_render_refuses_unsupported_types():
     for value in ({1, 2}, Fraction(1, 2)):
         with pytest.raises(TypeError):
             _render({"members": value})
+
+
+_towers = st.lists(
+    st.builds(
+        Tower,
+        st.none() | st.integers(1, 10**6),
+        st.integers(-(10**6), 10**6),
+        st.integers(-(10**6), 10**6),
+    ),
+    max_size=8,
+).map(tuple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 10**4), st.integers(3, 10**4), _towers)
+@example(2, 3, ())
+@example(2, 3, (Tower(1, 1, 0), Tower(None, -1, -2)))
+def test_hfk_text_matches_json_dumps(p, q, towers):
+    """hfk renders its towers from a template, outside _render, into the
+    bytes json.dumps gives for the payload of one dict per tower."""
+    expected = json.dumps(
+        {
+            "p": p,
+            "q": q,
+            "towers": [
+                {"order": t.order, "bottom_A": t.bottom_alexander, "bottom_M": t.bottom_maslov}
+                for t in towers
+            ],
+        },
+        indent=2,
+        sort_keys=True,
+    )
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
+        patch.setattr(cli, "hfk_minus", lambda p, q: GradedModule(towers))
+        assert main(["hfk", str(p), str(q), "--json"]) == 0
+    assert out.getvalue() == expected + "\n"
