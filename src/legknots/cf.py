@@ -31,6 +31,8 @@ def neg_cf(num: int, den: int) -> tuple[int, ...]:
     """Negative continued fraction of num/den, all entries >= 2.
 
     Requires coprime num > den >= 1.  Example: neg_cf(8, 5) == (2, 3, 2).
+    While den >= gap = num - den each entry is 2 and num, den drop by gap, so
+    such a run of den // gap 2s is one step, refused past MAX_ENTRIES unbuilt.
     """
     if den < 1 or num <= den:
         raise ValueError(f"need num > den >= 1, got {num}/{den}")
@@ -38,12 +40,20 @@ def neg_cf(num: int, den: int) -> tuple[int, ...]:
         raise ValueError(f"need coprime input, got {num}/{den}")
     out = []
     while den:
-        a = -(-num // den)  # ceil(num/den)
-        out.append(a)
-        if len(out) > MAX_ENTRIES:
-            raise ValueError(f"expansion longer than {MAX_ENTRIES} entries")
-        num, den = den, a * den - num
-    if any(a < 2 for a in out):
+        gap = num - den
+        if den < gap:
+            a = -(-num // den)  # ceil(num/den) >= 3
+            out.append(a)
+            num, den = den, a * den - num
+        else:
+            run = den // gap
+            if len(out) + run > MAX_ENTRIES:
+                raise ValueError(f"expansion longer than {MAX_ENTRIES} entries")
+            out += [2] * run
+            num, den = num - run * gap, den - run * gap
+    if len(out) > MAX_ENTRIES:  # the entries >= 3, at most log2(num) of them
+        raise ValueError(f"expansion longer than {MAX_ENTRIES} entries")
+    if min(out) < 2:
         raise VerificationError(f"entry below 2 in the expansion {out}")
     return tuple(out)
 

@@ -22,7 +22,7 @@ from collections import namedtuple
 from .cf import complementary_expansions, torus_knot_params
 
 # Upper bound on the surgery curves (chains and (+1)-curves) of a knot;
-# T(n, -(n+1)) has n + 3.  The kernel is cubic in it: 99 ms cold for
+# T(n, -(n+1)) has n + 3.  The kernel is cubic in it: 56-73 ms cold for
 # T(61, -62) (2 vCPUs, Python 3.11).  Verify needs 13, the benchmark 21.
 MAX_CURVES = 64
 
@@ -49,15 +49,6 @@ def rotation_range(tb: int) -> range:
     if tb >= 0:
         raise ValueError(f"chain unknots have tb < 0, got {tb}")
     return range(tb + 1, -tb, 2)
-
-
-def is_fully_positive(rot: int, tb: int) -> bool:
-    """Whether the unknot is a purely positive stabilization (rot == -tb-1)."""
-    return rot == -tb - 1
-
-
-def is_fully_negative(rot: int, tb: int) -> bool:
-    return rot == tb + 1
 
 
 # ---- presentations
@@ -167,10 +158,15 @@ def enumerate_presentations(p: int, q: int, level: int = 0):
 # ---- the two distinguished shapes
 
 
-def chain_extreme(tbs, rots, sign: int) -> bool:
-    """Whether every unknot of a chain is fully positive (+1) / negative (-1)."""
-    test = is_fully_positive if sign > 0 else is_fully_negative
-    return all(test(rot, tb) for tb, rot in zip(tbs, rots))
+@functools.lru_cache(maxsize=None)
+def _extremes(p: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """(pos1, neg1, pos2, neg2): the rotations of chain 1, and of chain 2 without
+    its last unknot, with every unknot fully positive (rot == -tb - 1) or fully
+    negative (rot == tb + 1)."""
+    tbs1, tbs2 = chains_for(p, q)
+    pos1 = tuple(-tb - 1 for tb in tbs1)
+    pos2 = tuple(-tb - 1 for tb in tbs2[:-1])
+    return pos1, tuple(-r for r in pos1), pos2, tuple(-r for r in pos2)
 
 
 def is_ambient_tight(pres: Presentation) -> bool:
@@ -182,22 +178,16 @@ def is_ambient_tight(pres: Presentation) -> bool:
     of the second chain (the one with tb = -n + 1) is unconstrained, as is
     everything about the knot itself.
     """
-    tbs1, tbs2 = chains_for(pres.p, pres.q)
-    for sign in (+1, -1):
-        if chain_extreme(tbs1, pres.rots1, sign) and chain_extreme(
-            tbs2[:-1], pres.rots2[:-1], -sign
-        ):
-            return True
-    return False
+    pos1, neg1, pos2, neg2 = _extremes(pres.p, pres.q)
+    rots1, rots2 = tuple(pres.rots1), tuple(pres.rots2[:-1])
+    return (rots1 == pos1 and rots2 == neg2) or (rots1 == neg1 and rots2 == pos2)
 
 
 def leader_extremes(pres: Presentation) -> tuple[bool, bool]:
     """(some chain leader fully positive, some chain leader fully negative)."""
-    tbs1, tbs2 = chains_for(pres.p, pres.q)
-    leaders = ((tbs1[0], pres.rots1[0]), (tbs2[0], pres.rots2[0]))
-    any_fp = any(is_fully_positive(rot, tb) for tb, rot in leaders)
-    any_fn = any(is_fully_negative(rot, tb) for tb, rot in leaders)
-    return any_fp, any_fn
+    pos1, neg1, pos2, neg2 = _extremes(pres.p, pres.q)
+    lead1, lead2 = pres.rots1[0], pres.rots2[0]
+    return lead1 == pos1[0] or lead2 == pos2[0], lead1 == neg1[0] or lead2 == neg2[0]
 
 
 def nonvanishing_condition(pres: Presentation) -> bool:

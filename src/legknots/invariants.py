@@ -9,15 +9,15 @@ not link the knot or anything outside their chain.
 Every presentation of T(p, -q) shares the linking matrix Q of the surgery
 curves (smooth framings on the diagonal) and the linking vector lk of the
 knot with them; |det Q| = 1, so Q^{-1} is an integer matrix.  A per-knot
-kernel holds Q^{-1}, w = Q^{-1} lk, lk^T Q^{-1} lk and sig(Q), and the
-invariants of the knot L in the surgered contact 3-sphere are integer dot
-products:
+kernel holds the chain block of Q^{-1}, the chain entries of w = Q^{-1} lk
+(both (+1)-curves have rotation 0), lk^T Q^{-1} lk and sig(Q); the knot L's
+invariants in the surgered contact 3-sphere are integer dot products:
 
     tb  = tb_0 - lk^T Q^{-1} lk
     rot = rot_0 - <r, w>
     d3  = (<r, Q^{-1} r> - 3 sig(Q) - 2 chi) / 4 + #(+1 surgeries)
 
-where r is the vector of curve rotation numbers, chi = 1 + #curves,
+where r is the vector of chain rotation numbers, chi = 1 + #curves,
 tb_0 = -1 - level and rot_0 = stab_pos - stab_neg.  One integer pass
 (linalg.adjugate) gives Q^{-1} = det(Q) adj(Q) and the leading minors D_k,
 so sig(Q) = m - 2 * #(sign changes along 1, D_1, ..., D_m) (Jacobi).  With
@@ -78,11 +78,6 @@ def _linking(p: int, q: int) -> tuple[list[list[int]], list[int]]:
     return mat, lk
 
 
-def rotation_vector(pres: Presentation) -> list[int]:
-    """Rotation numbers of the surgery curves ((+1)-curves are unstabilized)."""
-    return list(pres.rots1) + list(pres.rots2) + [0, 0]
-
-
 def _bordered(mat, lk, corner: int) -> list[list[int]]:
     return [row + [l] for row, l in zip(mat, lk)] + [lk + [corner]]
 
@@ -96,20 +91,21 @@ def _dot(a, b) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _kernel(p: int, q: int) -> tuple:
-    """(inverse, w, lk_norm, sigma) = (Q^{-1} as rows, Q^{-1} lk, lk^T Q^{-1} lk,
-    sig(Q)): the constants shared by every presentation of T(p, -q), checked."""
+    """(inverse, w, lk_norm, sigma) = (the chain block of Q^{-1} as rows, the chain
+    entries of Q^{-1} lk, lk^T Q^{-1} lk, sig(Q)): the constants shared by every
+    presentation of T(p, -q), checked on the whole of Q."""
     mat, lk = _linking(p, q)
     det, adj, minors = adjugate(mat)
     if abs(det) != 1:
         raise VerificationError(f"non-integral inverse linking matrix for T({p}, -{q})")
-    inverse = tuple(tuple(det * x for x in row) for row in adj)
-    w = tuple(_dot(row, lk) for row in inverse)
+    w = [det * _dot(row, lk) for row in adj]
     lk_norm = _dot(lk, w)
     # det(Q_0) = -det(Q) * lk^T Q^{-1} lk: the determinant-ratio tb formula
     if det_bareiss(_bordered(mat, lk, 0)) != -lk_norm * det_bareiss(mat):
         raise VerificationError(f"tb from Q^-1 disagrees with the determinant ratio for T({p}, -{q})")
     negative = sum(a * b < 0 for a, b in zip((1,) + minors, minors))
-    return inverse, w, lk_norm, len(mat) - 2 * negative
+    inverse = tuple(tuple(det * x for x in row[:-2]) for row in adj[:-2])  # (+1)-curves last
+    return inverse, tuple(w[:-2]), lk_norm, len(mat) - 2 * negative
 
 
 # ---- invariants
@@ -140,11 +136,12 @@ def bigrading(tb: int, rot: int, d3: int) -> tuple[int, int]:
 def classical_invariants(pres: Presentation) -> ClassicalInvariants:
     """tb, rot and the normalized ambient d3 from one kernel lookup."""
     inverse, w, lk_norm, sigma = _kernel(pres.p, pres.q)
-    r = rotation_vector(pres)
+    r = (*pres.rots1, *pres.rots2)  # the (+1)-curves have rotation 0
     tb = -1 - pres.level - lk_norm
     rot = pres.stab_pos - pres.stab_neg - _dot(r, w)
-    # 4 * d3 with r^T Q^{-1} r: two (+1)-curves and the normalization give 4 * (2 + 1/2)
-    four = _dot(r, [_dot(row, r) for row in inverse]) - 3 * sigma - 2 * (1 + len(r)) + 10
+    form = sum([x * _dot(row, r) for x, row in zip(r, inverse) if x])  # r^T Q^{-1} r
+    # 4 * d3: chi counts both (+1)-curves, which with the normalization give 4 * (2 + 1/2)
+    four = form - 3 * sigma - 2 * (1 + len(r) + 2) + 10
     if four % 4:
         raise VerificationError(f"non-integral normalized d3 {four}/4 for {pres}")
     d3 = four // 4

@@ -29,10 +29,13 @@ def det_bareiss(mat) -> int:
                 return 0
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
-        for i in range(k + 1, n):
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        for row in a[k + 1:]:
+            f = row[k]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
+                row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
+        prev = pivot
     return sign * a[n - 1][n - 1]
 
 

@@ -14,15 +14,16 @@ import json
 import math
 from fractions import Fraction
 
-from legknots.cf import VerificationError
+from legknots.cf import MAX_ENTRIES, VerificationError
 from legknots.diagram import (
     Presentation,
+    chains_for,
     enumerate_presentations,
     is_ambient_tight,
     leader_extremes,
     nonvanishing_condition,
 )
-from legknots.invariants import _bordered, _linking, classical_invariants, rotation_vector
+from legknots.invariants import _bordered, _linking, classical_invariants
 from legknots.linalg import det_bareiss
 
 
@@ -39,6 +40,18 @@ def coprime_pairs(max_product: int) -> list[tuple[int, int]]:
         for p in range(2, q)
         if p * q <= max_product and math.gcd(p, q) == 1
     ]
+
+
+def neg_cf_by_steps(num: int, den: int) -> tuple[int, ...]:
+    """neg_cf one entry at a time: a = ceil(num/den), num/den <- den/(a*den - num)."""
+    out = []
+    while den:
+        a = -(-num // den)
+        out.append(a)
+        if len(out) > MAX_ENTRIES:
+            raise ValueError(f"expansion longer than {MAX_ENTRIES} entries")
+        num, den = den, a * den - num
+    return tuple(out)
 
 
 def eval_neg_cf(entries) -> Fraction:
@@ -116,6 +129,47 @@ def signature_symmetric(mat) -> int:
             for t in range(n):
                 a[t][i] -= f * a[t][piv]
     return sig
+
+
+def rotation_vector(pres: Presentation) -> list[int]:
+    """Rotation numbers of all surgery curves, the chains and then both
+    (+1)-curves, which are unstabilized."""
+    return list(pres.rots1) + list(pres.rots2) + [0, 0]
+
+
+def is_fully_positive(rot: int, tb: int) -> bool:
+    """Whether the unknot is a purely positive stabilization (rot == -tb-1)."""
+    return rot == -tb - 1
+
+
+def is_fully_negative(rot: int, tb: int) -> bool:
+    return rot == tb + 1
+
+
+def chain_extreme(tbs, rots, sign: int) -> bool:
+    """Whether every unknot of a chain is fully positive (+1) / negative (-1)."""
+    test = is_fully_positive if sign > 0 else is_fully_negative
+    return all(test(rot, tb) for tb, rot in zip(tbs, rots))
+
+
+def ambient_tight_by_unknots(pres: Presentation) -> bool:
+    """is_ambient_tight unknot by unknot: chain 1 extreme in one sign, chain 2
+    without its last unknot in the other."""
+    tbs1, tbs2 = chains_for(pres.p, pres.q)
+    return any(
+        chain_extreme(tbs1, pres.rots1, sign) and chain_extreme(tbs2[:-1], pres.rots2[:-1], -sign)
+        for sign in (+1, -1)
+    )
+
+
+def leader_extremes_by_unknots(pres: Presentation) -> tuple[bool, bool]:
+    """leader_extremes unknot by unknot, over the two chain leaders."""
+    tbs1, tbs2 = chains_for(pres.p, pres.q)
+    leaders = ((tbs1[0], pres.rots1[0]), (tbs2[0], pres.rots2[0]))
+    return (
+        any(is_fully_positive(rot, tb) for tb, rot in leaders),
+        any(is_fully_negative(rot, tb) for tb, rot in leaders),
+    )
 
 
 @functools.lru_cache(maxsize=None)

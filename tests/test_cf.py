@@ -15,7 +15,7 @@ from legknots.cf import (
     neg_cf,
     torus_knot_params,
 )
-from oracles import eval_neg_cf
+from oracles import eval_neg_cf, neg_cf_by_steps
 
 
 # ---- expansion and evaluation
@@ -51,6 +51,14 @@ def test_neg_cf_length_cap():
     assert neg_cf(MAX_ENTRIES + 1, MAX_ENTRIES) == (2,) * MAX_ENTRIES
     with pytest.raises(ValueError):
         neg_cf(MAX_ENTRIES + 2, MAX_ENTRIES + 1)
+
+
+def test_neg_cf_matches_the_stepwise_recurrence():
+    # runs of 2s are taken in one step; the entries are those of one step each
+    for num in range(2, 401):
+        for den in range(1, num):
+            if math.gcd(num, den) == 1:
+                assert neg_cf(num, den) == neg_cf_by_steps(num, den), (num, den)
 
 
 def test_eval_neg_cf_examples():

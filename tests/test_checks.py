@@ -1,10 +1,24 @@
-"""The floer-side verify checks can fail: each `return False` runs, with its
-detail, when one module-level name the check reads is patched."""
+"""The verify checks can fail: each `return False` runs, with its detail, when
+one module-level name the check reads is patched."""
 
 import pytest
 
-from legknots import classify, floer
+from legknots import cf, checks, classify, diagram, floer, invariants, lens
 from legknots.checks import run_check
+from legknots.invariants import ClassicalInvariants
+
+
+def _no_involution():
+    """Presentation whose conjugate is a positive stabilization, so that
+    conjugating twice does not give the presentation back."""
+
+    class Presentation(diagram.Presentation):
+        __slots__ = ()
+
+        def conjugate(self):
+            return self.stabilize(pos=1)
+
+    return Presentation
 
 
 @pytest.fixture(autouse=True)
@@ -43,10 +57,64 @@ def cold_hfk():
             "randomized-properties", floer, "euler_characteristic", lambda complex_: {},
             "Euler characteristic mismatch for T(2, 3)",
         ),
+        (
+            "tb-contract", invariants, "classical_invariants", lambda pres: ClassicalInvariants(0, 0, 0, 0, 0),
+            "tb mismatch for T(2, -3) at level 0",
+        ),
+        (
+            "smooth-topology", invariants, "validate_smooth_topology", lambda p, q: {"ok": False},
+            "smooth-topology oracle failed: {'ok': False}",
+        ),
+        (
+            "d3-range", invariants, "classical_invariants", lambda pres: ClassicalInvariants(0, 0, 1, 0, 0),
+            "balanced presentation of T(2, -3) has d3 != 0",
+        ),
+        (
+            "d3-range", invariants, "classical_invariants", lambda pres: ClassicalInvariants(0, 0, 0, 0, 0),
+            "d3 = 0 out of range for T(2, -3) Presentation(p=2, q=3, rots1=(1,), rots2=(1, 0), "
+            "stab_pos=0, stab_neg=0)",
+        ),
+        (
+            # a balanced presentation, d3 = 0, in place of the fully positive one
+            "d3-range", checks, "_all_fully_positive", lambda p, q: diagram.Presentation(p, q, (1,), (-1, 0)),
+            "fully positive presentation of T(2, -3) misses d3 = 2",
+        ),
+        (
+            "lens-surjectivity", lens, "surjectivity_check",
+            lambda p, q: {"ok": False, "image_size": 0, "honda_count": 1},
+            "T(2, -3): image 0 of 1 tight structures on L(7, ...)",
+        ),
+        (
+            "randomized-properties", cf, "_continuant", lambda entries: (0, 0),
+            "roundtrip failed for 376/175: (3, 2, 2, 2, 2, 2, 3, 2, 3, 2, 3)",  # the first seeded draw
+        ),
+        (
+            "randomized-properties", diagram, "Presentation", _no_involution(),
+            "conjugation is not an involution on Presentation(p=2, q=9, rots1=(-1,), rots2=(1, 3), "
+            "stab_pos=2, stab_neg=1)",
+        ),
+        (
+            "randomized-properties", invariants, "classical_invariants",
+            lambda pres: ClassicalInvariants(0, 1, 0, 0, 0),
+            "conjugation broke (tb, rot, d3) on Presentation(p=2, q=9, rots1=(-1,), rots2=(1, 3), "
+            "stab_pos=2, stab_neg=1)",
+        ),
     ],
     ids=["transverse-counts", "t58-locations", "hfk-towers", "bottoms-and-positive-stabs",
-         "randomized-d-squared", "randomized-euler"],
+         "randomized-d-squared", "randomized-euler", "tb-contract", "smooth-topology",
+         "d3-balanced", "d3-out-of-range", "d3-bound-missed", "lens-surjectivity",
+         "randomized-cf-roundtrip", "randomized-involution", "randomized-conjugation"],
 )
 def test_check_returns_false(monkeypatch, check, module, name, fake, detail):
     monkeypatch.setattr(module, name, fake)
     assert run_check(check) == (False, detail)
+
+
+def test_tight_count_steps_passes_on_plus_one_sequences(monkeypatch):
+    monkeypatch.setattr(classify, "ambient_tight_class_count", lambda p, q, level: level + 1)
+    assert run_check("tight-count-steps") == (True, (
+        "+1 per level for levels 0..6.  T(2, -3): 1,2,3,4,5,6,7; T(2, -5): 1,2,3,4,5,6,7; "
+        "T(3, -4): 1,2,3,4,5,6,7; T(3, -5): 1,2,3,4,5,6,7"
+    ))
+    monkeypatch.undo()
+    assert run_check("tight-count-steps")[0] is False  # the real counts step 2 -> 4 at T(3, -5)

@@ -5,6 +5,7 @@ import itertools
 import json
 import re
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -202,6 +203,20 @@ def test_overlong_cf_exits_2(capsys):
     code, out, err = run(capsys, "cf", "100000000", "99999999")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_overlong_cf_builds_no_run_of_twos(capsys):
+    # the run of 10^8 - 1 twos is refused before it is built: no 800 MB list
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = main(["cf", "100000000", "99999999"])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and capsys.readouterr().out == ""
+    assert elapsed < 1 and peak < 2**20
 
 
 @pytest.mark.parametrize("command", ["enumerate", "classify"])

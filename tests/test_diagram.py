@@ -12,11 +12,17 @@ from legknots.diagram import (
     chains_for,
     enumerate_presentations,
     is_ambient_tight,
-    is_fully_negative,
-    is_fully_positive,
+    leader_extremes,
     nonvanishing_condition,
     rotation_range,
     validate_presentation,
+)
+from oracles import (
+    ambient_tight_by_unknots,
+    coprime_pairs,
+    is_fully_negative,
+    is_fully_positive,
+    leader_extremes_by_unknots,
 )
 
 
@@ -150,6 +156,25 @@ def test_ambient_tight_examples():
     assert is_ambient_tight(Presentation(5, 8, (2, 0), (-1, -1, 0)))
     assert not is_ambient_tight(Presentation(5, 8, (2, 0), (-1, 1, 0)))
     assert is_ambient_tight(Presentation(2, 3, (1,), (-1, 0), 3, 2))
+
+
+def test_shape_predicates_match_their_per_unknot_definitions():
+    count = 0
+    for p, q in coprime_pairs(120):
+        for pres in enumerate_presentations(p, q, 0):
+            assert is_ambient_tight(pres) == ambient_tight_by_unknots(pres), pres
+            assert leader_extremes(pres) == leader_extremes_by_unknots(pres), pres
+            count += 1
+    assert count == 4048
+
+
+def test_shape_predicates_accept_list_rotations():
+    shapes = (((2, 0), (-1, -1, 0)), ((2, 0), (-1, 1, 0)), ((-2, 0), (1, 1, 0)), ((0, 0), (1, -1, 0)))
+    for rots1, rots2 in shapes:
+        pres = Presentation(5, 8, rots1, rots2)
+        listed = Presentation(5, 8, list(rots1), list(rots2))
+        assert is_ambient_tight(listed) == is_ambient_tight(pres)
+        assert leader_extremes(listed) == leader_extremes(pres)
 
 
 def test_balanced_count_is_2n_minus_2():

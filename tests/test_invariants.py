@@ -19,11 +19,10 @@ from legknots.invariants import (
     classical_invariants,
     d3_surgered,
     presentations_with_invariants,
-    rotation_vector,
     validate_smooth_topology,
 )
 from legknots.linalg import adjugate, det_bareiss
-from oracles import coprime_pairs, invariants_oracle
+from oracles import coprime_pairs, invariants_oracle, rotation_vector
 
 
 def _all_fully_positive(p, q):
@@ -237,6 +236,13 @@ def test_kernel_matches_fraction_oracle(p, q):
             assert (inv.tb, inv.rot, inv.d3) == (tb, rot, d3)
             assert bigrading(tb, rot, d3) == (inv.alexander, inv.maslov)
             assert d3_surgered(classical_invariants(pres)) == 4 * (tb - 1) * surgered
+
+
+def test_classical_invariants_accept_list_rotations():
+    # the kernel holds the chain block only; list rotations read it as tuples do
+    for pres in enumerate_presentations(5, 8, 1):
+        listed = Presentation(5, 8, list(pres.rots1), list(pres.rots2), pres.stab_pos, pres.stab_neg)
+        assert classical_invariants(listed) == classical_invariants(pres)
 
 
 def test_d3_surgered_sweep_matches_fraction_oracle():
