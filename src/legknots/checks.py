@@ -61,8 +61,9 @@ def check_tb_contract():
     pairs = _coprime_pairs(max_product=120)
     checked = 0
     for p, q in pairs:
+        vectors = list(diagram.rotation_vectors(p, q))  # the same at every level
         for level in range(6):
-            vectors = list(diagram.rotation_vectors(p, q, level))
+            diagram.rotation_vectors(p, q, level)  # refused as enumerating this level would be
             count = len(vectors) * (level + 1)
             for idx in sorted({0, count // 2, count - 1}):
                 pos = idx % (level + 1)

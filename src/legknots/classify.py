@@ -77,19 +77,6 @@ class EquivClass(namedtuple("EquivClass", "size representative ambient_tight loo
         transverse = snl and rep.stab_pos == 0 and not shape[1][1]
         return cls(size, rep, verdict == "tight", verdict == "loose", snl, transverse, inv)
 
-    def to_dict(self) -> dict:
-        return {
-            "representative": self.representative.to_dict(),
-            "size": self.size,
-            "flags": {
-                "tight_ambient": self.ambient_tight,
-                "loose": self.loose,
-                "strongly_nonloose": self.strongly_nonloose,
-                "transverse": self.transverse,
-            },
-            "invariants": self.invariants.to_dict(),
-        }
-
 
 def _rotation_key(pres: Presentation) -> str:
     """Orders presentations of one knot as their JSON text does: the two texts

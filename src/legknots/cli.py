@@ -4,6 +4,10 @@ Every subcommand prints a human-readable report by default, the same data
 as JSON with --json, and can mirror the JSON payload to a file with --out.
 Output is deterministic (sorted keys, fixed iteration orders).  Exit codes:
 0 success, 1 a verification failed, 2 usage or value errors.
+
+The output format lives here alone: the math layers return namedtuples, and
+this module builds every JSON record from them (a presentation with its
+invariants, a class with its flags, hfk's towers) and renders it.
 """
 
 import argparse
@@ -15,7 +19,7 @@ from . import __version__
 from .cf import VerificationError, complementary_expansions, neg_cf, torus_knot_params
 from .checks import check_names, run_all
 from .classify import classify_level, transverse_classes
-from .diagram import chain_tbs
+from .diagram import chain_tbs, chains_for
 from .floer import hfk_minus, match_invariants
 from .invariants import presentations_with_invariants
 from .lens import surjectivity_check
@@ -118,18 +122,27 @@ def _emit(args, payload, report) -> None:
     print(rendered if args.json else "\n".join(report()))
 
 
+def _records(p: int, q: int, role: str, rows) -> list:
+    """The JSON records of T(p, -q)'s (presentation, invariants, fields) rows:
+    the presentation under `role`, its "invariants", and the other fields."""
+    tbs1, tbs2 = chains_for(p, q)
+    return [{
+        role: {"p": p, "q": q, "stab_pos": pres.stab_pos, "stab_neg": pres.stab_neg, "chains": [
+            {"tb": list(tbs1), "rot": list(pres.rots1)}, {"tb": list(tbs2), "rot": list(pres.rots2)}]},
+        "invariants": {"tb": inv.tb, "rot": inv.rot, "d3": inv.d3, "A": inv.alexander, "M": inv.maslov},
+        **fields,
+    } for pres, inv, fields in rows]
+
+
+def _invariants_text(inv) -> str:
+    return f"tb = {inv.tb}, rot = {inv.rot}, d3 = {inv.d3}, (A, M) = ({inv.alexander}, {inv.maslov})"
+
+
 def _format_class(index: int, cls) -> str:
-    inv = cls.invariants
-    if cls.ambient_tight:
-        kind = "tight ambient"
-    elif cls.strongly_nonloose:
-        kind = "strongly non-loose" + (", transverse" if cls.transverse else "")
-    else:
-        kind = "loose"
-    return (
-        f"#{index}: size {cls.size:3d}  [{kind}]  tb = {inv.tb}, rot = {inv.rot}, "
-        f"d3 = {inv.d3}, (A, M) = ({inv.alexander}, {inv.maslov})"
-    )
+    kind = "tight ambient" if cls.ambient_tight else "loose" if cls.loose else "strongly non-loose"
+    if cls.transverse:
+        kind += ", transverse"
+    return f"#{index}: size {cls.size:3d}  [{kind}]  {_invariants_text(cls.invariants)}"
 
 
 # ---- subcommands
@@ -174,11 +187,11 @@ def cmd_params(args) -> int:
 
 def cmd_enumerate(args) -> int:
     found = list(presentations_with_invariants(args.p, args.q, args.level))
-    items = [{"presentation": pres.to_dict(), "invariants": inv.to_dict()} for pres, inv in found]
+    items = _records(args.p, args.q, "presentation", ((pres, inv, {}) for pres, inv in found))
     payload = {"p": args.p, "q": args.q, "level": args.level, "presentations": items}
     _emit(args, payload, lambda: [
         f"rots {list(pres.rots1)} {list(pres.rots2)} stabs (+{pres.stab_pos}, -{pres.stab_neg})"
-        f"  tb = {inv.tb}, rot = {inv.rot}, d3 = {inv.d3}, (A, M) = ({inv.alexander}, {inv.maslov})"
+        f"  {_invariants_text(inv)}"
         for pres, inv in found
     ] + [f"{len(found)} presentations of T({args.p}, -{args.q}) at level {args.level}"])
     return 0
@@ -186,7 +199,11 @@ def cmd_enumerate(args) -> int:
 
 def _emit_classes(args, payload, classes, summary: str) -> int:
     """Emit `payload` with its "classes" list, or one line per class and `summary`."""
-    payload["classes"] = [cls.to_dict() for cls in classes]
+    payload["classes"] = _records(args.p, args.q, "representative", ((cls.representative, cls.invariants, {
+        "size": cls.size,
+        "flags": {"tight_ambient": cls.ambient_tight, "loose": cls.loose,
+                  "strongly_nonloose": cls.strongly_nonloose, "transverse": cls.transverse},
+    }) for cls in classes))
     _emit(args, payload, lambda: [_format_class(i, cls) for i, cls in enumerate(classes)] + [summary])
     return 0
 

@@ -83,19 +83,6 @@ class Presentation(namedtuple("Presentation", "p q rots1 rots2 stab_pos stab_neg
             self.stab_pos + pos, self.stab_neg + neg,
         )
 
-    def to_dict(self) -> dict:
-        tbs1, tbs2 = chains_for(self.p, self.q)
-        return {
-            "p": self.p,
-            "q": self.q,
-            "chains": [
-                {"tb": list(tbs1), "rot": list(self.rots1)},
-                {"tb": list(tbs2), "rot": list(self.rots2)},
-            ],
-            "stab_pos": self.stab_pos,
-            "stab_neg": self.stab_neg,
-        }
-
 
 @functools.lru_cache(maxsize=None)
 def chain_expansions(p: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

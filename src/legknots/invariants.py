@@ -121,9 +121,6 @@ class ClassicalInvariants(namedtuple("ClassicalInvariants", "tb rot d3 alexander
 
     __slots__ = ()
 
-    def to_dict(self) -> dict:
-        return {"tb": self.tb, "rot": self.rot, "d3": self.d3, "A": self.alexander, "M": self.maslov}
-
 
 def bigrading(tb: int, rot: int, d3: int) -> tuple[int, int]:
     """(A, M) = ((tb - rot + 1)/2, 2A - d3); tb - rot must be odd."""

@@ -27,9 +27,44 @@ from legknots.invariants import _bordered, _linking, classical_invariants
 from legknots.linalg import det_bareiss
 
 
+def presentation_dict(pres: Presentation) -> dict:
+    """A presentation's JSON record as the CLI prints it, stated apart from the CLI."""
+    tbs1, tbs2 = chains_for(pres.p, pres.q)
+    return {
+        "p": pres.p,
+        "q": pres.q,
+        "chains": [
+            {"tb": list(tbs1), "rot": list(pres.rots1)},
+            {"tb": list(tbs2), "rot": list(pres.rots2)},
+        ],
+        "stab_pos": pres.stab_pos,
+        "stab_neg": pres.stab_neg,
+    }
+
+
+def invariants_dict(inv) -> dict:
+    """The JSON record of a presentation's classical invariants."""
+    return {"tb": inv.tb, "rot": inv.rot, "d3": inv.d3, "A": inv.alexander, "M": inv.maslov}
+
+
+def class_dict(cls) -> dict:
+    """The JSON record of an equivalence class."""
+    return {
+        "representative": presentation_dict(cls.representative),
+        "size": cls.size,
+        "flags": {
+            "tight_ambient": cls.ambient_tight,
+            "loose": cls.loose,
+            "strongly_nonloose": cls.strongly_nonloose,
+            "transverse": cls.transverse,
+        },
+        "invariants": invariants_dict(cls.invariants),
+    }
+
+
 def json_text(pres: Presentation) -> str:
     """The JSON text of a presentation, the order the classes are ranked in."""
-    return json.dumps(pres.to_dict(), sort_keys=True)
+    return json.dumps(presentation_dict(pres), sort_keys=True)
 
 
 def coprime_pairs(max_product: int) -> list[tuple[int, int]]:

@@ -50,6 +50,17 @@ def test_enumerate_counts_and_invariants(capsys):
         assert set(item["invariants"]) == {"tb", "rot", "d3", "A", "M"}
 
 
+def test_enumerate_json_roundtrip(capsys):
+    code, out, _ = run(capsys, "enumerate", "5", "8", "--level", "1", "--json")
+    assert code == 0
+    # the record of Presentation(5, 8, (-2, 0), (1, -1, 0), 1, 0)
+    (data,) = [
+        record for record in (item["presentation"] for item in json.loads(out)["presentations"])
+        if [chain["rot"] for chain in record["chains"]] == [[-2, 0], [1, -1, 0]] and record["stab_pos"] == 1
+    ]
+    assert data["chains"][0] == {"tb": [-3, -1], "rot": [-2, 0]}
+
+
 def test_classify_command(capsys):
     code, out, _ = run(capsys, "classify", "2", "3", "--level", "1", "--json")
     data = json.loads(out)

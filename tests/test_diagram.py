@@ -1,6 +1,5 @@
 """Surgery presentations: chains, rotation bookkeeping, enumeration."""
 
-import json
 import math
 
 import pytest
@@ -120,12 +119,6 @@ def test_stabilize():
     assert (stab.stab_pos, stab.stab_neg, stab.level) == (1, 2, 3)
     with pytest.raises(ValueError):
         pres.stabilize(pos=-1)
-
-
-def test_json_roundtrip():
-    pres = Presentation(5, 8, (-2, 0), (1, -1, 0), 1, 0)
-    data = json.loads(json.dumps(pres.to_dict(), sort_keys=True))
-    assert data["chains"][0] == {"tb": [-3, -1], "rot": [-2, 0]}
 
 
 def test_validate_rejects_bad_rotation():

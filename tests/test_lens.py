@@ -7,7 +7,7 @@ import pytest
 
 from legknots import diagram, lens
 from legknots.cf import VerificationError, complementary_expansions, honda_count, torus_knot_params
-from legknots.diagram import Presentation, chain_tbs, enumerate_presentations, rotation_range
+from legknots.diagram import Presentation, chain_tbs, chains_for, enumerate_presentations, rotation_range
 from legknots.invariants import classical_invariants, d3_surgered
 from legknots.lens import LensChain, reduce_to_lens_chain, surjectivity_check
 
@@ -43,8 +43,7 @@ def test_rotations_stay_legal():
 def test_chain_length_drops_by_one():
     for p, q in ((2, 3), (5, 8), (3, 7)):
         pres = next(iter(enumerate_presentations(p, q, 0)))
-        tbs1 = pres.to_dict()["chains"][0]["tb"]
-        tbs2 = pres.to_dict()["chains"][1]["tb"]
+        tbs1, tbs2 = chains_for(p, q)
         assert len(reduce_to_lens_chain(pres).framings) == len(tbs1) + len(tbs2) - 1
 
 

@@ -1,6 +1,6 @@
 """Property tests over random valid presentations (levels 0-3), over the
-exit codes of the knot subcommands, and of the CLI's JSON renderer and hfk's
-tower template against json.dumps."""
+exit codes of the knot subcommands, and of the CLI's JSON renderer, hfk's
+tower template and the presentation and class records against json.dumps."""
 
 import contextlib
 import io
@@ -17,8 +17,15 @@ from legknots import cli  # noqa: E402
 from legknots.cli import _render, main  # noqa: E402
 from legknots.diagram import Presentation, chains_for, rotation_range  # noqa: E402
 from legknots.floer import GradedModule, Tower  # noqa: E402
-from legknots.invariants import classical_invariants, d3_surgered  # noqa: E402
-from oracles import coprime_pairs, invariants_oracle  # noqa: E402
+from legknots.classify import classify_level, transverse_classes  # noqa: E402
+from legknots.invariants import classical_invariants, d3_surgered, presentations_with_invariants  # noqa: E402
+from oracles import (  # noqa: E402
+    class_dict,
+    coprime_pairs,
+    invariants_dict,
+    invariants_oracle,
+    presentation_dict,
+)
 
 
 @st.composite
@@ -132,3 +139,29 @@ def test_hfk_text_matches_json_dumps(p, q, towers):
         patch.setattr(cli, "hfk_minus", lambda p, q: GradedModule(towers))
         assert main(["hfk", str(p), str(q), "--json"]) == 0
     assert out.getvalue() == expected + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(coprime_pairs(60)), st.integers(0, 2))
+@example((2, 3), 0)
+@example((5, 8), 2)
+def test_records_match_json_dumps(pair, level):
+    """cli builds the presentation and class records itself; their text is
+    json.dumps of the record structure stated in the oracles."""
+    p, q = pair
+    knot = [str(p), str(q)]
+    expected = {
+        "enumerate": {"p": p, "q": q, "level": level, "presentations": [
+            {"presentation": presentation_dict(pres), "invariants": invariants_dict(inv)}
+            for pres, inv in presentations_with_invariants(p, q, level)
+        ]},
+        "classify": {"p": p, "q": q, "level": level,
+                     "classes": [class_dict(cls) for cls in classify_level(p, q, level)]},
+        "transverse": {"p": p, "q": q, "classes": [class_dict(cls) for cls in transverse_classes(p, q)]},
+    }
+    for command, payload in expected.items():
+        argv = [command, *knot, "--json"] + (["--level", str(level)] if command != "transverse" else [])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
