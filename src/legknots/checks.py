@@ -162,13 +162,12 @@ def check_lens_surjectivity():
     pairs = _coprime_pairs(max_q=12)
     total = 0
     for p, q in pairs:
-        report = lens.surjectivity_check(p, q)
-        if not report["ok"]:
+        count, fibers = lens.surjectivity_check(p, q)
+        if len(fibers) != count:
             return False, (
-                f"T({p}, -{q}): image {report['image_size']} of "
-                f"{report['honda_count']} tight structures on L({p * q + 1}, ...)"
+                f"T({p}, -{q}): image {len(fibers)} of {count} tight structures on L({p * q + 1}, ...)"
             )
-        total += report["honda_count"]
+        total += count
     return True, f"image size == Honda count on {len(pairs)} pairs (q <= 12), {total} structures hit"
 
 
@@ -203,8 +202,8 @@ def check_bottoms_and_positive_stabs():
     located = 0
     stabilized = 0
     for p, q in pairs:
-        report = floer.match_invariants(p, q)  # raises if a class misses a bottom
-        located += report["transverse_count"]
+        realized, _ = floer.match_invariants(p, q)  # raises if a class misses a bottom
+        located += len(realized)
         for pres in diagram.enumerate_presentations(p, q, 0):
             if not diagram.nonvanishing_condition(pres):
                 continue

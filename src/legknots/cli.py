@@ -5,9 +5,11 @@ as JSON with --json, and can mirror the JSON payload to a file with --out.
 Output is deterministic (sorted keys, fixed iteration orders).  Exit codes:
 0 success, 1 a verification failed, 2 usage or value errors.
 
-The output format lives here alone: the math layers return namedtuples, and
-this module builds every JSON record from them (a presentation with its
-invariants, a class with its flags, hfk's towers) and renders it.
+The output format lives here alone: the math layers return namedtuples and
+plain values, and this module spells out every JSON key.  Each subcommand
+hands _emit a function that builds the payload (a presentation with its
+invariants, a class with its flags, hfk's towers, ...) and renders it, so
+the JSON is built only when --json or --out prints it.
 """
 
 import argparse
@@ -24,19 +26,6 @@ from .floer import hfk_minus, match_invariants
 from .invariants import presentations_with_invariants
 from .lens import surjectivity_check
 
-_INFINITY = float("inf")
-
-
-def _float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == _INFINITY:
-        return "Infinity"
-    if value == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
 # JSON text of each scalar type.  bool comes before its base class int for
 # the isinstance scan of _render_into.
 _SCALARS = {
@@ -44,7 +33,6 @@ _SCALARS = {
     str: _quote,
     int: int.__repr__,
     type(None): lambda _: "null",
-    float: _float,
 }
 
 
@@ -106,14 +94,11 @@ def _tower_json(tower, newline: str) -> str:
 
 
 def _emit(args, payload, report) -> None:
-    """Write the JSON payload to --out, then print it (--json) or the text
-    report, the list of lines ``report()`` returns.  ``payload`` is the
-    payload, or a function that returns its JSON text.  Each is built only
-    when it is used: the JSON for --json or --out, the report for neither
-    --json nor --quiet."""
-    rendered = None
-    if args.json or args.out:
-        rendered = payload() if callable(payload) else _render(payload)
+    """Write the JSON text ``payload()`` returns to --out, then print it
+    (--json) or the text report, the list of lines ``report()`` returns.
+    Each is built only when it is used: the JSON for --json or --out, the
+    report for neither --json nor --quiet."""
+    rendered = payload() if args.json or args.out else None
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(rendered + "\n")
@@ -150,45 +135,40 @@ def _format_class(index: int, cls) -> str:
 
 def cmd_cf(args) -> int:
     entries = neg_cf(args.num, args.den)
-    payload = {"num": args.num, "den": args.den, "entries": list(entries)}
-    _emit(args, payload, lambda: [f"{args.num}/{args.den} = {list(entries)}"])
+    _emit(args, lambda: _render({"num": args.num, "den": args.den, "entries": entries}),
+          lambda: [f"{args.num}/{args.den} = {list(entries)}"])
     return 0
 
 
 def cmd_params(args) -> int:
     params = torus_knot_params(args.p, args.q)
-    chains = [
-        {"coefficient": "%d/%d" % coeff, "entries": list(cf), "tb": list(chain_tbs(cf))}
-        for coeff, cf in zip(
-            (params.chain1_coefficient, params.chain2_coefficient),
-            complementary_expansions(params),
-        )
-    ]
+    chains = [("%d/%d" % coeff, cf, chain_tbs(cf)) for coeff, cf in zip(
+        (params.chain1_coefficient, params.chain2_coefficient), complementary_expansions(params))]
     s1, s2 = ("%d/%d" % ratio for ratio in params.seifert_constants)
-    payload = {
-        **params._asdict(),
-        "genus": params.genus,
+    _emit(args, lambda: _render({
+        "p": params.p, "q": params.q, "n": params.n, "k": params.k, "c": params.c, "d": params.d,
+        "p_prime": params.p_prime, "q_prime": params.q_prime, "genus": params.genus,
         "seifert_constants": [s1, s2],
-        "chains": chains,
-    }
-    # the text drops a denominator of 1
-    _emit(args, payload, lambda: [
+        "chains": [{"coefficient": coeff, "entries": cf, "tb": tbs} for coeff, cf, tbs in chains],
+    }), lambda: [
         f"T({params.p}, -{params.q}):  q = {params.n}p - {params.k}",
         f"  c = {params.c}, d = {params.d}, p' = {params.p_prime}, q' = {params.q_prime}",
         f"  genus = {params.genus}",
         f"  Seifert constants {s1}, {s2}",
-    ] + [
-        f"  chain {i}: coefficient {c['coefficient'].removesuffix('/1')} -> entries "
-        f"{c['entries']}, tb {c['tb']}"
-        for i, c in enumerate(chains, 1)
+    ] + [  # the text drops a denominator of 1
+        f"  chain {i}: coefficient {coeff.removesuffix('/1')} -> entries {list(cf)}, tb {list(tbs)}"
+        for i, (coeff, cf, tbs) in enumerate(chains, 1)
     ])
     return 0
 
 
 def cmd_enumerate(args) -> int:
     found = list(presentations_with_invariants(args.p, args.q, args.level))
-    items = _records(args.p, args.q, "presentation", ((pres, inv, {}) for pres, inv in found))
-    payload = {"p": args.p, "q": args.q, "level": args.level, "presentations": items}
+
+    def payload() -> str:
+        items = _records(args.p, args.q, "presentation", ((pres, inv, {}) for pres, inv in found))
+        return _render({"p": args.p, "q": args.q, "level": args.level, "presentations": items})
+
     _emit(args, payload, lambda: [
         f"rots {list(pres.rots1)} {list(pres.rots2)} stabs (+{pres.stab_pos}, -{pres.stab_neg})"
         f"  {_invariants_text(inv)}"
@@ -197,13 +177,16 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _emit_classes(args, payload, classes, summary: str) -> int:
-    """Emit `payload` with its "classes" list, or one line per class and `summary`."""
-    payload["classes"] = _records(args.p, args.q, "representative", ((cls.representative, cls.invariants, {
-        "size": cls.size,
-        "flags": {"tight_ambient": cls.ambient_tight, "loose": cls.loose,
-                  "strongly_nonloose": cls.strongly_nonloose, "transverse": cls.transverse},
-    }) for cls in classes))
+def _emit_classes(args, fields, classes, summary: str) -> int:
+    """Emit `fields` with a "classes" list, or one line per class and `summary`."""
+
+    def payload() -> str:
+        rows = ((cls.representative, cls.invariants, {"size": cls.size, "flags": {
+            "tight_ambient": cls.ambient_tight, "loose": cls.loose,
+            "strongly_nonloose": cls.strongly_nonloose, "transverse": cls.transverse,
+        }}) for cls in classes)
+        return _render({**fields, "classes": _records(args.p, args.q, "representative", rows)})
+
     _emit(args, payload, lambda: [_format_class(i, cls) for i, cls in enumerate(classes)] + [summary])
     return 0
 
@@ -238,36 +221,41 @@ def cmd_hfk(args) -> int:
 
 
 def cmd_match(args) -> int:
-    report = match_invariants(args.p, args.q)
-    _emit(args, report, lambda: [
-        f"T({args.p}, -{args.q}): {report['transverse_count']} transverse classes on "
-        f"{report['bottom_count']} torsion-tower bottoms",
-        "realized:   " + ", ".join(f"({a}, {m})" for a, m in report["realized"]),
-        "unrealized: " + (", ".join(f"({a}, {m})" for a, m in report["unrealized"]) or "(none)"),
+    realized, unrealized = match_invariants(args.p, args.q)
+    bottoms = len(realized) + len(unrealized)
+    _emit(args, lambda: _render({
+        "p": args.p, "q": args.q, "transverse_count": len(realized), "bottom_count": bottoms,
+        "realized": realized, "unrealized": unrealized,
+    }), lambda: [
+        f"T({args.p}, -{args.q}): {len(realized)} transverse classes on {bottoms} torsion-tower bottoms",
+        "realized:   " + ", ".join(f"({a}, {m})" for a, m in realized),
+        "unrealized: " + (", ".join(f"({a}, {m})" for a, m in unrealized) or "(none)"),
     ])
     return 0
 
 
 def cmd_lens(args) -> int:
-    report = surjectivity_check(args.p, args.q)
+    count, fibers = surjectivity_check(args.p, args.q)
+    ok = len(fibers) == count
     u = args.p * args.q + 1
-    _emit(args, report, lambda: [
-        f"L({u}, {args.p * args.p % u}): Honda count {report['honda_count']}, "
-        f"image size {report['image_size']} -> {'surjective' if report['ok'] else 'NOT surjective'}",
-        "fiber sizes: " + ",".join(str(len(f)) for f in report["fibers"]),
+    _emit(args, lambda: _render({
+        "p": args.p, "q": args.q, "honda_count": count, "image_size": len(fibers), "ok": ok, "fibers": fibers,
+    }), lambda: [
+        f"L({u}, {args.p * args.p % u}): Honda count {count}, "
+        f"image size {len(fibers)} -> {'surjective' if ok else 'NOT surjective'}",
+        "fiber sizes: " + ",".join(str(len(f)) for f in fibers),
     ])
-    if not report["ok"]:
+    if not ok:
         raise VerificationError(f"lens reduction not surjective for T({args.p}, -{args.q})")
     return 0
 
 
 def cmd_verify(args) -> int:
     results = run_all(args.only or None)
-    payload = [{"name": name, "ok": ok, "detail": detail} for name, ok, detail in results]
     failed = [name for name, ok, _ in results if not ok]
-    _emit(args, payload, lambda: [
-        f"[{'PASS' if ok else 'FAIL'}] {name} - {detail}" for name, ok, detail in results
-    ] + [f"{len(results) - len(failed)}/{len(results)} checks passed"])
+    _emit(args, lambda: _render([{"name": name, "ok": ok, "detail": detail} for name, ok, detail in results]),
+          lambda: [f"[{'PASS' if ok else 'FAIL'}] {name} - {detail}" for name, ok, detail in results]
+          + [f"{len(results) - len(failed)}/{len(results)} checks passed"])
     return 1 if failed else 0
 
 

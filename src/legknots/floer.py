@@ -263,12 +263,12 @@ def hfk_minus(p: int, q: int) -> GradedModule:
 # ---- comparison with the transverse classes
 
 
-def match_invariants(p: int, q: int) -> dict:
+def match_invariants(p: int, q: int) -> tuple[list, list]:
     """Locate each transverse class at a torsion tower bottom of HFK-minus.
 
-    Returns a report with the realized and unrealized bottom bigradings;
-    raises VerificationError if any class misses the bottom set or two
-    classes collide at one location.
+    Returns the realized and the unrealized bottom bigradings (A, M), each
+    in decreasing order; raises VerificationError if any class misses the
+    bottom set or two classes collide at one location.
     """
     module = hfk_minus(p, q)  # first: it refuses oversized pairs before any work
     classes = transverse_classes(p, q)
@@ -281,11 +281,4 @@ def match_invariants(p: int, q: int) -> dict:
         )
     if len(set(realized)) != len(realized):
         raise VerificationError(f"two transverse classes of T({p}, -{q}) share a location")
-    return {
-        "p": p,
-        "q": q,
-        "transverse_count": len(realized),
-        "bottom_count": len(bottoms),
-        "realized": sorted(realized, reverse=True),
-        "unrealized": sorted(bottoms - set(realized), reverse=True),
-    }
+    return sorted(realized, reverse=True), sorted(bottoms - set(realized), reverse=True)

@@ -53,12 +53,15 @@ def reduce_to_lens_chain(pres: Presentation) -> LensChain:
     return LensChain(framings, rots)
 
 
-def surjectivity_check(p: int, q: int) -> dict:
+def surjectivity_check(p: int, q: int) -> tuple[int, list[list[int]]]:
     """Compare the image of the reduction with Honda's tight-structure count.
 
-    The report lists the fibers as index lists into the level-0 enumeration
-    order.  Raises VerificationError if two presentations in one fiber
-    disagree on the normalized d3 invariant of the surgered manifold.
+    Returns Honda's count of tight structures on L(pq + 1, p^2) and the
+    fibers of the reduction, as index lists into the level-0 enumeration
+    order, sorted by their lens chain; the reduction is surjective when
+    there are as many fibers as the count.  Raises VerificationError if two
+    presentations in one fiber disagree on the normalized d3 invariant of
+    the surgered manifold.
     """
     table = list(presentations_with_invariants(p, q, 0))
     fibers: dict[LensChain, list[int]] = {}
@@ -71,13 +74,5 @@ def surjectivity_check(p: int, q: int) -> dict:
                 f"fiber over {chain} mixes 4s * d3 values {sorted(values)}"
             )
     u = p * q + 1
-    count = honda_count(u, p * p % u)
     ordered = sorted(fibers.items(), key=lambda item: (item[0].framings, item[0].rots))
-    return {
-        "p": p,
-        "q": q,
-        "honda_count": count,
-        "image_size": len(fibers),
-        "ok": len(fibers) == count,
-        "fibers": [sorted(ids) for _, ids in ordered],
-    }
+    return honda_count(u, p * p % u), [sorted(ids) for _, ids in ordered]

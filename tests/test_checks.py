@@ -81,7 +81,7 @@ def cold_hfk():
         ),
         (
             "lens-surjectivity", lens, "surjectivity_check",
-            lambda p, q: {"ok": False, "image_size": 0, "honda_count": 1},
+            lambda p, q: (1, []),
             "T(2, -3): image 0 of 1 tight structures on L(7, ...)",
         ),
         (

@@ -194,11 +194,11 @@ def test_verification_failures_exit_1(capsys):
 
 def test_lens_not_surjective_exits_1(capsys, monkeypatch):
     # the report is printed first, then the failure goes to stderr
-    report = {**cli.surjectivity_check(2, 3), "ok": False}
-    monkeypatch.setattr(cli, "surjectivity_check", lambda p, q: report)
+    count, fibers = cli.surjectivity_check(2, 3)
+    monkeypatch.setattr(cli, "surjectivity_check", lambda p, q: (count + 1, fibers))
     code, out, err = run(capsys, "lens", "2", "3")
     assert code == 1
-    assert out == "L(7, 4): Honda count 3, image size 3 -> NOT surjective\nfiber sizes: 1,2,1\n"
+    assert out == "L(7, 4): Honda count 4, image size 3 -> NOT surjective\nfiber sizes: 1,2,1\n"
     assert err == "verification failed: lens reduction not surjective for T(2, -3)\n"
 
 
@@ -324,10 +324,28 @@ def test_json_is_not_rendered_when_unused(capsys, monkeypatch, mode):
 
     monkeypatch.setattr(cli, "_render", refuse)
     monkeypatch.setattr(cli, "_tower_json", refuse)  # hfk's template, outside _render
-    for command in (("classify", "3", "5", "--level", "2"), ("hfk", "5", "8")):
+    monkeypatch.setattr(cli, "_records", refuse)  # the records are built only for the JSON
+    for command in (
+        ("enumerate", "5", "8", "--level", "2"), ("classify", "3", "5", "--level", "2"),
+        ("transverse", "5", "8"), ("hfk", "5", "8"), ("match", "5", "8"), ("lens", "3", "4"),
+        ("params", "5", "8"), ("cf", "17", "5"), ("verify", "--only", "t58-locations"),
+    ):
         code, out, _ = run(capsys, *command, *mode)
         assert code == 0, command
         assert (out == "") == bool(mode), command
+
+
+# keys of the match, lens and params payloads: the math layers return plain values
+_PAYLOAD_KEYS = ("transverse_count", "bottom_count", "unrealized", "honda_count", "image_size", "fibers",
+                 "seifert_constants")
+
+
+def test_payload_keys_live_in_cli_alone():
+    package = Path(cli.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        quoted = [key for key in _PAYLOAD_KEYS if f'"{key}"' in text or f"'{key}'" in text]
+        assert quoted == (list(_PAYLOAD_KEYS) if path.name == "cli.py" else []), path.name
 
 
 def test_parser_reuse_keeps_no_state(capsys):

@@ -683,19 +683,19 @@ def test_bigraded_dims_pin_t58_bottoms():
 
 
 def test_match_t58():
-    report = match_invariants(5, 8)
-    assert report["transverse_count"] == 4
-    assert report["bottom_count"] == 9
-    assert report["realized"] == [(14, 0), (4, -6), (-2, -12), (-12, -26)]
-    assert len(report["unrealized"]) == 5
+    realized, unrealized = match_invariants(5, 8)
+    assert len(realized) == 4
+    assert len(realized) + len(unrealized) == 9
+    assert realized == [(14, 0), (4, -6), (-2, -12), (-12, -26)]
+    assert len(unrealized) == 5
 
 
 def test_match_doubled_family_fills_all_bottoms():
     # T(2, -(2n-1)): the n-1 transverse classes exhaust the torsion bottoms
     for n in range(2, 9):
-        report = match_invariants(2, 2 * n - 1)
-        assert report["transverse_count"] == report["bottom_count"] == n - 1
-        assert report["unrealized"] == []
+        realized, unrealized = match_invariants(2, 2 * n - 1)
+        assert len(realized) == len(realized) + len(unrealized) == n - 1
+        assert unrealized == []
 
 
 def test_match_sweep_never_misses():

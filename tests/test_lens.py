@@ -48,13 +48,12 @@ def test_chain_length_drops_by_one():
 
 
 def test_surjectivity_trefoil():
-    report = surjectivity_check(2, 3)
-    assert report["honda_count"] == 3
-    assert report["image_size"] == 3
-    assert report["ok"]
+    count, fibers = surjectivity_check(2, 3)
+    assert count == 3
+    assert len(fibers) == 3
     # the 4 presentations fall into 3 fibers: the two balanced ones with
     # equal leader difference collide
-    assert sorted(len(f) for f in report["fibers"]) == [1, 1, 2]
+    assert sorted(len(f) for f in fibers) == [1, 1, 2]
 
 
 def test_surjectivity_sweep():
@@ -62,11 +61,11 @@ def test_surjectivity_sweep():
         for p in range(2, q):
             if math.gcd(p, q) != 1:
                 continue
-            report = surjectivity_check(p, q)
-            assert report["ok"], (p, q)
+            count, fibers = surjectivity_check(p, q)
+            assert len(fibers) == count, (p, q)
             u = p * q + 1
-            assert report["honda_count"] == honda_count(u, p * p % u)
-            assert sum(len(f) for f in report["fibers"]) == len(
+            assert count == honda_count(u, p * p % u)
+            assert sum(len(f) for f in fibers) == len(
                 list(enumerate_presentations(p, q, 0))
             )
 
@@ -74,8 +73,8 @@ def test_surjectivity_sweep():
 def test_fibers_share_surgered_d3():
     for p, q in ((2, 3), (3, 4), (5, 8)):
         presentations = list(enumerate_presentations(p, q, 0))
-        report = surjectivity_check(p, q)
-        for fiber in report["fibers"]:
+        _, fibers = surjectivity_check(p, q)
+        for fiber in fibers:
             values = {d3_surgered(classical_invariants(presentations[i])) for i in fiber}
             assert len(values) == 1
 
@@ -83,9 +82,9 @@ def test_fibers_share_surgered_d3():
 def test_palindromic_chain_keeps_distinct_structures():
     # T(3, -5) merges to framings (-2, -5, -2); the reversal symmetry of
     # the framing vector must not identify distinct rotation vectors
-    report = surjectivity_check(3, 5)
-    assert report["honda_count"] == 4
-    assert report["image_size"] == 4
+    count, fibers = surjectivity_check(3, 5)
+    assert count == 4
+    assert len(fibers) == 4
     chains = {reduce_to_lens_chain(p).framings for p in enumerate_presentations(3, 5, 0)}
     assert chains == {(-2, -5, -2)}
 

@@ -76,7 +76,6 @@ _json_scalars = (
     st.none()
     | st.booleans()
     | st.integers(-(2**80), 2**80)
-    | st.floats(allow_nan=False)
     | st.text(st.characters(codec="utf-8"))
 )
 _json_payloads = st.recursive(
@@ -91,7 +90,7 @@ _json_payloads = st.recursive(
 @settings(max_examples=100, deadline=None)
 @given(_json_payloads)
 @example([[], {}, (), {"": None}])
-@example([float("nan"), float("inf"), -float("inf"), -(2**70)])
+@example([-(2**70)])
 @example({"\x00\u00e9\n": "\x1f\U0001f600"})
 def test_render_matches_json_dumps(payload):
     expected = json.dumps(payload, indent=2, sort_keys=True)
@@ -99,7 +98,7 @@ def test_render_matches_json_dumps(payload):
 
 
 def test_render_refuses_unsupported_types():
-    for value in ({1, 2}, Fraction(1, 2)):
+    for value in ({1, 2}, Fraction(1, 2), 1.5):
         with pytest.raises(TypeError):
             _render({"members": value})
 
