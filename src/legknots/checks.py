@@ -81,9 +81,15 @@ def check_smooth_topology():
     """Diagrams present S3; level-0 surgeries give L(pq+1, p^2) up to inversion."""
     pairs = _coprime_pairs(max_product=120)
     for p, q in pairs:
-        report = invariants.validate_smooth_topology(p, q)
-        if not report["ok"]:
-            return False, f"smooth-topology oracle failed: {report}"
+        det, h1, (num, den) = invariants.smooth_topology(p, q)
+        u = p * q + 1
+        v = p * p % u
+        if abs(det) != 1:
+            return False, f"T({p}, -{q}): ambient determinant {det}, expected +-1"
+        if h1 != u:
+            return False, f"T({p}, -{q}): surgered H1 of order {h1}, expected {u}"
+        if num != u or den not in (v, pow(v, -1, u)):
+            return False, f"T({p}, -{q}): lens type L({num}, {den}), expected L({u}, {v}) up to inversion"
     return True, f"ambient determinant, surgered H1 and lens type verified on {len(pairs)} pairs (pq <= 120)"
 
 

@@ -13,7 +13,8 @@ the knot's stabilizations:
     classical invariants (rot, d3).
 
 A class is kept as its size, its representative (the member with the least
-_rotation_key) and the representative's invariants, which every member shares.
+_rotation_key), the representative's invariants and looseness verdict, which
+every member shares, and whether it is transverse.
 
 Transverse classes are the level-0 presentations with nonzero invariant
 (neither leader fully negative), one class each.  Two of them would be the
@@ -35,7 +36,7 @@ from .diagram import (
     nonvanishing_condition,
     validate_presentation,
 )
-from .invariants import ClassicalInvariants, classical_invariants, presentations_with_invariants
+from .invariants import classical_invariants, presentations_with_invariants
 
 
 # ---- verdicts
@@ -64,18 +65,10 @@ def looseness_verdict(pres: Presentation, shape=None) -> str:
 # ---- classes
 
 
-class EquivClass(namedtuple("EquivClass", "size representative ambient_tight loose "
-                            "strongly_nonloose transverse invariants")):
-    __slots__ = ()
-
-    @classmethod
-    def of(cls, rep: Presentation, inv: ClassicalInvariants, size: int, shape, verdict: str) -> "EquivClass":
-        """The class of `size` members represented by `rep`, whose shape and
-        looseness verdict it is given; it is transverse when it survives every
-        further negative stabilization as strongly non-loose."""
-        snl = verdict == "strongly_nonloose"
-        transverse = snl and rep.stab_pos == 0 and not shape[1][1]
-        return cls(size, rep, verdict == "tight", verdict == "loose", snl, transverse, inv)
+EquivClass = namedtuple("EquivClass", "size representative invariants verdict transverse")
+EquivClass.__doc__ = """`size` presentations sharing the representative's invariants and
+looseness_verdict; transverse when the class survives every further negative
+stabilization as strongly non-loose."""
 
 
 def _rotation_key(pres: Presentation) -> str:
@@ -109,29 +102,32 @@ def classify_level(p: int, q: int, level: int) -> tuple[EquivClass, ...]:
             bucket[1:5] = key, pres, inv, shape
     ranked = []  # (sort key, class); no two tie: reps of one rotation vector differ in rot
     for size, key, pres, inv, shape, verdict in buckets.values():
-        cls = EquivClass.of(pres, inv, size, shape, verdict)
-        ranked.append(((not cls.ambient_tight, cls.loose, -inv.rot, inv.d3, key), cls))
+        transverse = verdict == "strongly_nonloose" and pres.stab_pos == 0 and not shape[1][1]
+        cls = EquivClass(size, pres, inv, verdict, transverse)
+        ranked.append(((verdict != "tight", verdict == "loose", -inv.rot, inv.d3, key), cls))
     ranked.sort(key=lambda pair: pair[0])  # tight, then strongly non-loose, then loose
     return tuple(cls for _, cls in ranked)
 
 
 def ambient_tight_class_count(p: int, q: int, level: int) -> int:
     """Number of classes at this level living in the tight 3-sphere."""
-    return sum(1 for cls in classify_level(p, q, level) if cls.ambient_tight)
+    return sum(1 for cls in classify_level(p, q, level) if cls.verdict == "tight")
 
 
 # ---- transverse classes
 
 
 def transverse_classes(p: int, q: int) -> tuple[EquivClass, ...]:
-    """One class per level-0 presentation with nonzero invariant, ordered by
-    descending rot (see the module docstring for why none merge)."""
-    classes = []
-    for pres in enumerate_presentations(p, q, 0):
-        if nonvanishing_condition(pres):
-            shape = is_ambient_tight(pres), leader_extremes(pres)
-            verdict = looseness_verdict(pres, shape)
-            classes.append(EquivClass.of(pres, classical_invariants(pres), 1, shape, verdict))
+    """One strongly non-loose transverse class per level-0 presentation with
+    nonzero invariant, ordered by descending rot (see the module docstring for
+    why none merge).  None is ambient tight: that needs chain 1, or chain 2 up
+    to its last unknot, fully negative, and a nonzero invariant forbids a fully
+    negative leader."""
+    classes = [
+        EquivClass(1, pres, classical_invariants(pres), "strongly_nonloose", True)
+        for pres in enumerate_presentations(p, q, 0)
+        if nonvanishing_condition(pres)
+    ]
     classes.sort(key=lambda c: (-c.invariants.rot, _rotation_key(c.representative)))
     return tuple(classes)
 

@@ -124,7 +124,7 @@ def _invariants_text(inv) -> str:
 
 
 def _format_class(index: int, cls) -> str:
-    kind = "tight ambient" if cls.ambient_tight else "loose" if cls.loose else "strongly non-loose"
+    kind = {"tight": "tight ambient", "loose": "loose"}.get(cls.verdict, "strongly non-loose")
     if cls.transverse:
         kind += ", transverse"
     return f"#{index}: size {cls.size:3d}  [{kind}]  {_invariants_text(cls.invariants)}"
@@ -182,8 +182,8 @@ def _emit_classes(args, fields, classes, summary: str) -> int:
 
     def payload() -> str:
         rows = ((cls.representative, cls.invariants, {"size": cls.size, "flags": {
-            "tight_ambient": cls.ambient_tight, "loose": cls.loose,
-            "strongly_nonloose": cls.strongly_nonloose, "transverse": cls.transverse,
+            "tight_ambient": cls.verdict == "tight", "loose": cls.verdict == "loose",
+            "strongly_nonloose": cls.verdict == "strongly_nonloose", "transverse": cls.transverse,
         }}) for cls in classes)
         return _render({**fields, "classes": _records(args.p, args.q, "representative", rows)})
 

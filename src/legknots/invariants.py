@@ -179,16 +179,11 @@ def d3_surgered(inv: ClassicalInvariants) -> int:
 # ---- smooth-topology oracle
 
 
-def validate_smooth_topology(p: int, q: int) -> dict:
-    """Report that the level-0 diagram of T(p, -q) presents S3 (|det Q| = 1)
-    and surgers to L(pq+1, p^2 up to inversion): first homology of order pq+1,
-    and that lens type read off the chain left after cancelling the
-    (+1)-curves.  report["ok"] is False when any of these fails."""
+def smooth_topology(p: int, q: int) -> tuple[int, int, tuple[int, int]]:
+    """(det Q, |H1|, (num, den)) of the level-0 diagram of T(p, -q): the
+    determinant of its linking matrix Q, the order of the first homology once
+    the knot is surgered as well, and the lens type L(num, den) read off the
+    chain left after cancelling the (+1)-curves."""
     mat, lk = _linking(p, q)
-    ambient_det = det_bareiss(mat)
     h1 = abs(det_bareiss(_bordered(mat, lk, -2)))
-    u = p * q + 1
-    num, den = _continuant(merged_lens_entries(*chain_expansions(p, q)))
-    v = p * p % u
-    ok = abs(ambient_det) == 1 and h1 == u and num == u and den in (v, pow(v, -1, u))
-    return {"p": p, "q": q, "ambient_det": ambient_det, "surgered_h1": h1, "lens": (num, den), "ok": ok}
+    return det_bareiss(mat), h1, _continuant(merged_lens_entries(*chain_expansions(p, q)))

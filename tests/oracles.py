@@ -53,9 +53,9 @@ def class_dict(cls) -> dict:
         "representative": presentation_dict(cls.representative),
         "size": cls.size,
         "flags": {
-            "tight_ambient": cls.ambient_tight,
-            "loose": cls.loose,
-            "strongly_nonloose": cls.strongly_nonloose,
+            "tight_ambient": cls.verdict == "tight",
+            "loose": cls.verdict == "loose",
+            "strongly_nonloose": cls.verdict == "strongly_nonloose",
             "transverse": cls.transverse,
         },
         "invariants": invariants_dict(cls.invariants),

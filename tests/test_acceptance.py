@@ -99,7 +99,7 @@ def test_criterion_09_tight_count_steps(capsys):
             got = sorted(
                 (cls.invariants.tb, cls.invariants.rot)
                 for cls in classify_level(p, q, level)
-                if cls.ambient_tight
+                if cls.verdict == "tight"
             )
             expected = sorted((-p * q - level, r) for r in _stabilized_rotations(base, level))
             if got != expected:

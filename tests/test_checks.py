@@ -62,8 +62,16 @@ def cold_hfk():
             "tb mismatch for T(2, -3) at level 0",
         ),
         (
-            "smooth-topology", invariants, "validate_smooth_topology", lambda p, q: {"ok": False},
-            "smooth-topology oracle failed: {'ok': False}",
+            "smooth-topology", invariants, "smooth_topology", lambda p, q: (0, 7, (7, 4)),
+            "T(2, -3): ambient determinant 0, expected +-1",
+        ),
+        (
+            "smooth-topology", invariants, "smooth_topology", lambda p, q: (1, 5, (7, 4)),
+            "T(2, -3): surgered H1 of order 5, expected 7",
+        ),
+        (
+            "smooth-topology", invariants, "smooth_topology", lambda p, q: (-1, 7, (7, 3)),
+            "T(2, -3): lens type L(7, 3), expected L(7, 4) up to inversion",
         ),
         (
             "d3-range", invariants, "classical_invariants", lambda pres: ClassicalInvariants(0, 0, 1, 0, 0),
@@ -102,7 +110,8 @@ def cold_hfk():
     ],
     ids=["transverse-counts", "t58-locations", "hfk-towers", "bottoms-and-positive-stabs",
          "randomized-d-squared", "randomized-euler", "tb-contract", "smooth-topology",
-         "d3-balanced", "d3-out-of-range", "d3-bound-missed", "lens-surjectivity",
+         "smooth-topology-h1", "smooth-topology-lens", "d3-balanced", "d3-out-of-range",
+         "d3-bound-missed", "lens-surjectivity",
          "randomized-cf-roundtrip", "randomized-involution", "randomized-conjugation"],
 )
 def test_check_returns_false(monkeypatch, check, module, name, fake, detail):

@@ -1,7 +1,5 @@
 """Coarse classification and the transverse quotient."""
 
-import inspect
-
 import pytest
 
 from legknots import classify
@@ -79,16 +77,28 @@ def test_classes_share_invariants():
 # T(2, -23) has chains (-2,) and (-2, -11): rotations run from -10 to 10
 @pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 4), (3, 5), (5, 8), (2, 23)])
 def test_classify_level_matches_partition_oracle(p, q):
+    # each class's kind too: its members' verdict, and transverse when its
+    # representative stays strongly non-loose under q negative stabilizations
     for level in range(5):
-        got = {cls.representative: cls.size for cls in classify_level(p, q, level)}
-        assert got == {rep: len(members) for rep, members in class_partition(p, q, level).items()}
+        got = {
+            cls.representative: (cls.size, cls.verdict, cls.transverse)
+            for cls in classify_level(p, q, level)
+        }
+        assert got == {
+            rep: (
+                len(members),
+                looseness_verdict(rep),
+                rep.stab_pos == 0 and looseness_verdict(rep.stabilize(neg=q)) == "strongly_nonloose",
+            )
+            for rep, members in class_partition(p, q, level).items()
+        }
 
 
 def test_tight_classes_merge_by_rotation():
     # at level 1 the tight trefoil classes are (tb, rot) = (-7, 2), (-7, 0)
     # twice over, (-7, -2): the rot-0 class collects both stabilization signs
     classes = classify_level(2, 3, 1)
-    tight = [cls for cls in classes if cls.ambient_tight]
+    tight = [cls for cls in classes if cls.verdict == "tight"]
     assert sorted((cls.invariants.rot, cls.size) for cls in tight) == [(-2, 1), (0, 2), (2, 1)]
 
 
@@ -114,7 +124,7 @@ def test_conjugation_acts_on_classes():
 
 def test_one_verdict_per_presentation(monkeypatch):
     # a cold classify_level decides each presentation's verdict once, and
-    # EquivClass.of is handed that verdict instead of deciding it again
+    # each class keeps that verdict instead of three flags deciding it again
     calls = []
     monkeypatch.setattr(classify, "looseness_verdict", lambda *a: calls.append(a) or looseness_verdict(*a))
     classify_level.cache_clear()
@@ -123,8 +133,7 @@ def test_one_verdict_per_presentation(monkeypatch):
     finally:
         classify_level.cache_clear()
     assert len(calls) == len(list(enumerate_presentations(5, 8, 2))) == 36
-    params = inspect.signature(EquivClass.of).parameters.values()
-    assert all(param.default is inspect.Parameter.empty for param in params)
+    assert EquivClass._fields == ("size", "representative", "invariants", "verdict", "transverse")
 
 
 # ---- transverse classes
@@ -145,7 +154,7 @@ def test_transverse_classes_are_singleton_nonvanishing():
         ]
         assert sum(cls.size for cls in classes) == len(expected)
         for cls in classes:
-            assert cls.strongly_nonloose and cls.transverse and not cls.loose
+            assert cls.verdict == "strongly_nonloose" and cls.transverse
             assert not is_ambient_tight(cls.representative)
 
 
@@ -162,12 +171,7 @@ def test_transverse_classes_match_stabilized_grouping():
             verdict = looseness_verdict(rep)
             assert cls.size == 1
             assert cls.invariants == classical_invariants(rep)
-            assert (cls.ambient_tight, cls.loose, cls.strongly_nonloose, cls.transverse) == (
-                verdict == "tight",
-                verdict == "loose",
-                verdict == "strongly_nonloose",
-                verdict == "strongly_nonloose",
-            )
+            assert (cls.verdict, cls.transverse) == (verdict, verdict == "strongly_nonloose")
 
 
 def test_transverse_t58_locations():
@@ -190,7 +194,7 @@ def test_negative_stabilizations_stay_distinct():
     classes = {index[pres] for pres in reps}
     assert len(classes) == len(reps)
     for cls in classes:
-        assert cls.strongly_nonloose
+        assert cls.verdict == "strongly_nonloose"
 
 
 # ---- positive stabilization

@@ -19,7 +19,7 @@ from legknots.invariants import (
     classical_invariants,
     d3_surgered,
     presentations_with_invariants,
-    validate_smooth_topology,
+    smooth_topology,
 )
 from legknots.linalg import adjugate, det_bareiss
 from oracles import coprime_pairs, invariants_oracle, rotation_vector
@@ -216,12 +216,14 @@ def test_failed_cross_check_exits_1(capsys, monkeypatch, name, broken, message):
 
 
 def test_smooth_topology_reports():
-    report = validate_smooth_topology(2, 3)
-    assert report["ok"]
-    assert report["surgered_h1"] == 7
-    assert report["lens"][0] == 7
+    det, h1, lens = smooth_topology(2, 3)
+    assert abs(det) == 1
+    assert h1 == 7
+    assert lens[0] == 7
     for p, q in ((3, 4), (5, 8), (2, 9)):
-        assert validate_smooth_topology(p, q)["ok"]
+        det, h1, (num, den) = smooth_topology(p, q)
+        u, v = p * q + 1, p * p % (p * q + 1)
+        assert abs(det) == 1 and h1 == num == u and den in (v, pow(v, -1, u))
 
 
 # ---- the per-knot kernel against the per-presentation Fraction oracle
