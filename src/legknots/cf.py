@@ -135,15 +135,15 @@ def torus_knot_params(p: int, q: int) -> TorusKnotParams:
     k = n * p - q
     if not 0 < k < p:
         raise VerificationError(f"k = {k} out of range for ({p}, {q})")
-    c = pow(k, -1, p)
+    c = pow(k, -1, p)  # p' = c
     d = (c * k - 1) // p
-    p_prime, q_prime = c, c * n - d
+    q_prime = c * n - d
     # q' > 0 and the unimodularity identity tie everything together.
-    if not (0 < p_prime < p and 0 < q_prime < q):
+    if not (0 < c < p and 0 < q_prime < q):
         raise VerificationError(f"companion pair out of range for ({p}, {q})")
-    if p * q_prime - q * p_prime != 1:
+    if p * q_prime - q * c != 1:
         raise VerificationError(f"p*q' - q*p' != 1 for ({p}, {q})")
-    return TorusKnotParams(p, q, n, k, c, d, p_prime, q_prime)
+    return tuple.__new__(TorusKnotParams, (p, q, n, k, c, d, c, q_prime))  # skips the Python-level __new__
 
 
 def complementary_expansions(params: TorusKnotParams):
@@ -156,17 +156,18 @@ def complementary_expansions(params: TorusKnotParams):
 
     which also forces min(cf1[0], cf2[0]) == 2.
     """
-    cf1 = neg_cf(params.p, params.p - params.c)
-    cf2 = neg_cf(params.q, params.q_prime)
-    if cf2[-1] != params.n:
-        raise VerificationError(f"second expansion does not end in n={params.n}: {cf2}")
+    p, q, n, _, c, _, _, q_prime = params
+    cf1 = neg_cf(p, p - c)
+    cf2 = neg_cf(q, q_prime)
+    if cf2[-1] != n:
+        raise VerificationError(f"second expansion does not end in n={n}: {cf2}")
     if len(cf2) < 2:
         raise VerificationError(f"second expansion too short: {cf2}")
     n1, d1 = _continuant(cf1)
     n2, d2 = _continuant(cf2[:-1])
     if d1 * n2 + d2 * n1 != n1 * n2:  # d1/n1 + d2/n2 == 1
         raise VerificationError(f"expansions not complementary: {cf1} / {cf2}")
-    if 2 not in (cf1[0], cf2[0]):
+    if cf1[0] != 2 and cf2[0] != 2:
         raise VerificationError(f"no leading 2 in {cf1} / {cf2}")
     return cf1, cf2
 

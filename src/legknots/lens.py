@@ -9,13 +9,15 @@ rotations), while both tails survive unchanged.  The merged entries are
 exactly the negative continued fraction of (pq + 1) / v with v = p^2 mod
 (pq + 1) or its inverse, so Honda's count of tight structures on the lens
 space gives the size of the target and surjectivity can be checked by
-counting the image.
+counting the image.  The framings, their reading direction and the check of
+the merged entries are computed once per knot; a presentation adds only its
+rotations.
 """
 
 from collections import namedtuple
 
 from .cf import VerificationError, honda_count, merged_lens_entries
-from .diagram import Presentation, chain_expansions, rotation_range
+from .diagram import Presentation, chain_expansions, chains_for, rotation_range
 from .invariants import d3_surgered, presentations_with_invariants
 
 
@@ -25,32 +27,40 @@ class LensChain(namedtuple("LensChain", "framings rots")):
     __slots__ = ()
 
 
-def reduce_to_lens_chain(pres: Presentation) -> LensChain:
-    """Collapse an unstabilized presentation to its lens-space chain.
+def _lens_frame(p: int, q: int) -> tuple[tuple[int, ...], bool]:
+    """(framings, flip): the lens chain's normalized framings, and whether that
+    reversed the constructed order.  Raises VerificationError unless the merged
+    chain has one unknot fewer than the two chains and each merged unknot admits
+    the largest rotation a presentation puts on it (ranges are symmetric)."""
+    cf1, cf2 = chain_expansions(p, q)
+    entries = merged_lens_entries(cf1, cf2)
+    if len(entries) != len(cf1) + len(cf2) - 1:
+        raise VerificationError("merged chain has the wrong length")
+    tbs1, tbs2 = chains_for(p, q)
+    # rots1[0] - rots2[0] ranges as the rotation of an unknot with tb1 + tb2 + 1
+    for entry, tb in zip(entries, tbs1[:0:-1] + (tbs1[0] + tbs2[0] + 1,) + tbs2[1:]):
+        if -tb - 1 not in rotation_range(-entry + 1):
+            raise VerificationError(f"rotation {-tb - 1} illegal on a chain unknot with framing {-entry}")
+    framings = tuple(-entry for entry in entries)
+    flip = framings[::-1] < framings
+    return (framings[::-1] if flip else framings), flip
 
-    The chain is normalized between the two reading directions by the
-    lexicographically smaller framing sequence (rotations are carried
-    along); a palindromic framing sequence keeps the constructed order.
-    """
+
+def _lens_rots(pres: Presentation, flip: bool) -> tuple[int, ...]:
+    rots = pres.rots1[:0:-1] + (pres.rots1[0] - pres.rots2[0],) + pres.rots2[1:]
+    return rots[::-1] if flip else rots
+
+
+def reduce_to_lens_chain(pres: Presentation) -> LensChain:
+    """Collapse a level-0 presentation, as enumerate_presentations gives it,
+    to its lens-space chain: the knot's framings (_lens_frame), normalized
+    between the two reading directions by the lexicographically smaller
+    framing sequence, and the presentation's rotations carried along; a
+    palindromic framing sequence keeps the constructed order."""
     if pres.level != 0:
         raise ValueError("only unstabilized presentations reduce to lens chains")
-    entries = merged_lens_entries(*chain_expansions(pres.p, pres.q))
-    rots = (
-        tuple(reversed(pres.rots1[1:]))
-        + (pres.rots1[0] - pres.rots2[0],)
-        + tuple(pres.rots2[1:])
-    )
-    if len(rots) != len(entries):
-        raise VerificationError("merged chain has the wrong length")
-    for entry, rot in zip(entries, rots):
-        if rot not in rotation_range(-entry + 1):
-            raise VerificationError(
-                f"rotation {rot} illegal on a chain unknot with framing {-entry}"
-            )
-    framings = tuple(-entry for entry in entries)
-    if framings[::-1] < framings:
-        framings, rots = framings[::-1], rots[::-1]
-    return LensChain(framings, rots)
+    framings, flip = _lens_frame(pres.p, pres.q)
+    return LensChain(framings, _lens_rots(pres, flip))
 
 
 def surjectivity_check(p: int, q: int) -> tuple[int, list[list[int]]]:
@@ -64,15 +74,13 @@ def surjectivity_check(p: int, q: int) -> tuple[int, list[list[int]]]:
     the surgered manifold.
     """
     table = list(presentations_with_invariants(p, q, 0))
-    fibers: dict[LensChain, list[int]] = {}
+    framings, flip = _lens_frame(p, q)
+    fibers: dict[tuple[int, ...], list[int]] = {}  # rotations of the lens chain -> indices
     for idx, (pres, _) in enumerate(table):
-        fibers.setdefault(reduce_to_lens_chain(pres), []).append(idx)
-    for chain, ids in fibers.items():
+        fibers.setdefault(_lens_rots(pres, flip), []).append(idx)
+    for rots, ids in fibers.items():
         values = {d3_surgered(table[i][1]) for i in ids}
         if len(values) != 1:
-            raise VerificationError(
-                f"fiber over {chain} mixes 4s * d3 values {sorted(values)}"
-            )
+            raise VerificationError(f"fiber over {LensChain(framings, rots)} mixes 4s * d3 values {sorted(values)}")
     u = p * q + 1
-    ordered = sorted(fibers.items(), key=lambda item: (item[0].framings, item[0].rots))
-    return honda_count(u, p * p % u), [sorted(ids) for _, ids in ordered]
+    return honda_count(u, p * p % u), [ids for _, ids in sorted(fibers.items())]

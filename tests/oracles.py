@@ -14,16 +14,19 @@ import json
 import math
 from fractions import Fraction
 
-from legknots.cf import MAX_ENTRIES, VerificationError
+from legknots.cf import MAX_ENTRIES, VerificationError, merged_lens_entries
 from legknots.diagram import (
     Presentation,
+    chain_expansions,
     chains_for,
     enumerate_presentations,
     is_ambient_tight,
     leader_extremes,
     nonvanishing_condition,
+    rotation_range,
 )
 from legknots.invariants import _bordered, _linking, classical_invariants
+from legknots.lens import LensChain
 from legknots.linalg import det_bareiss
 
 
@@ -67,13 +70,16 @@ def json_text(pres: Presentation) -> str:
     return json.dumps(presentation_dict(pres), sort_keys=True)
 
 
-def coprime_pairs(max_product: int) -> list[tuple[int, int]]:
-    """All (p, q) with 2 <= p < q, gcd 1 and pq <= max_product."""
+def coprime_pairs(max_product: int | None = None, max_q: int | None = None) -> list[tuple[int, int]]:
+    """All (p, q) with 2 <= p < q and gcd 1, q-major, with pq <= max_product when
+    it is given and q <= max_q (max_product // 2 when max_q is not given)."""
+    if max_q is None:
+        max_q = max_product // 2
     return [
         (p, q)
-        for q in range(3, max_product // 2 + 1)
+        for q in range(3, max_q + 1)
         for p in range(2, q)
-        if p * q <= max_product and math.gcd(p, q) == 1
+        if (max_product is None or p * q <= max_product) and math.gcd(p, q) == 1
     ]
 
 
@@ -291,6 +297,40 @@ def transverse_partition(p: int, q: int) -> list[tuple[Presentation, ...]]:
             groups.setdefault(class_key(pres.stabilize(neg=q)), []).append(pres)
     members = [tuple(sorted(group, key=json_text)) for group in groups.values()]
     return sorted(members, key=lambda g: (-classical_invariants(g[0]).rot, json_text(g[0])))
+
+
+def lens_chain_by_presentation(pres: Presentation) -> LensChain:
+    """The lens chain of a level-0 presentation, with the merged entries, their
+    check against the presentation's own rotations and the reading direction
+    all recomputed for this one presentation."""
+    if pres.level != 0:
+        raise ValueError("only unstabilized presentations reduce to lens chains")
+    entries = merged_lens_entries(*chain_expansions(pres.p, pres.q))
+    rots = (
+        tuple(reversed(pres.rots1[1:]))
+        + (pres.rots1[0] - pres.rots2[0],)
+        + tuple(pres.rots2[1:])
+    )
+    if len(rots) != len(entries):
+        raise VerificationError("merged chain has the wrong length")
+    for entry, rot in zip(entries, rots):
+        if rot not in rotation_range(-entry + 1):
+            raise VerificationError(
+                f"rotation {rot} illegal on a chain unknot with framing {-entry}"
+            )
+    framings = tuple(-entry for entry in entries)
+    if framings[::-1] < framings:
+        framings, rots = framings[::-1], rots[::-1]
+    return LensChain(framings, rots)
+
+
+def lens_fibers(p: int, q: int) -> list[list[int]]:
+    """Indices of the level-0 presentations of T(p, -q), grouped by their
+    lens_chain_by_presentation, the groups sorted by (framings, rots)."""
+    fibers: dict[LensChain, list[int]] = {}
+    for idx, pres in enumerate(enumerate_presentations(p, q, 0)):
+        fibers.setdefault(lens_chain_by_presentation(pres), []).append(idx)
+    return [ids for _, ids in sorted(fibers.items(), key=lambda item: (item[0].framings, item[0].rots))]
 
 
 def _divide_by_t_power_minus_one(num: list[int], k: int) -> list[int]:

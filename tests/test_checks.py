@@ -1,11 +1,15 @@
 """The verify checks can fail: each `return False` runs, with its detail, when
 one module-level name the check reads is patched."""
 
+import inspect
+import re
+
 import pytest
 
 from legknots import cf, checks, classify, diagram, floer, invariants, lens
 from legknots.checks import run_check
 from legknots.invariants import ClassicalInvariants
+from oracles import coprime_pairs
 
 
 def _no_involution():
@@ -107,12 +111,17 @@ def cold_hfk():
             "conjugation broke (tb, rot, d3) on Presentation(p=2, q=9, rots1=(-1,), rots2=(1, 3), "
             "stab_pos=2, stab_neg=1)",
         ),
+        (
+            # one continued-fraction roundtrip fewer than the 1000 instances
+            "randomized-properties", checks, "_RANDOMIZED_COUNTS", (399, 300, 150, 150),
+            "only 999 randomized instances executed",
+        ),
     ],
     ids=["transverse-counts", "t58-locations", "hfk-towers", "bottoms-and-positive-stabs",
          "randomized-d-squared", "randomized-euler", "tb-contract", "smooth-topology",
          "smooth-topology-h1", "smooth-topology-lens", "d3-balanced", "d3-out-of-range",
          "d3-bound-missed", "lens-surjectivity",
-         "randomized-cf-roundtrip", "randomized-involution", "randomized-conjugation"],
+         "randomized-cf-roundtrip", "randomized-involution", "randomized-conjugation", "randomized-count"],
 )
 def test_check_returns_false(monkeypatch, check, module, name, fake, detail):
     monkeypatch.setattr(module, name, fake)
@@ -127,3 +136,17 @@ def test_tight_count_steps_passes_on_plus_one_sequences(monkeypatch):
     ))
     monkeypatch.undo()
     assert run_check("tight-count-steps")[0] is False  # the real counts step 2 -> 4 at T(3, -5)
+
+
+# every bound a check passes to _coprime_pairs
+BOUNDS = [("max_q", 200), ("max_q", 30), ("max_q", 26), ("max_q", 12), ("max_product", 120), ("max_product", 60)]
+
+
+def test_bounds_are_the_checks_own():
+    used = re.findall(r"_coprime_pairs\((max_q|max_product)=(\d+)\)", inspect.getsource(checks))
+    assert {(name, int(value)) for name, value in used} == set(BOUNDS)
+
+
+@pytest.mark.parametrize("name, value", BOUNDS, ids=[f"{name}={value}" for name, value in BOUNDS])
+def test_coprime_pairs_match_brute_force(name, value):
+    assert checks._coprime_pairs(**{name: value}) == coprime_pairs(**{name: value})

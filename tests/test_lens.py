@@ -10,6 +10,7 @@ from legknots.cf import VerificationError, complementary_expansions, honda_count
 from legknots.diagram import Presentation, chain_tbs, chains_for, enumerate_presentations, rotation_range
 from legknots.invariants import classical_invariants, d3_surgered
 from legknots.lens import LensChain, reduce_to_lens_chain, surjectivity_check
+from oracles import coprime_pairs, lens_chain_by_presentation, lens_fibers
 
 
 def test_reduce_trefoil():
@@ -132,6 +133,28 @@ def test_reduction_refuses_a_bad_merged_chain(monkeypatch, entries, message):
     monkeypatch.setattr(lens, "merged_lens_entries", lambda cf1, cf2: entries)
     with pytest.raises(VerificationError, match=message):
         reduce_to_lens_chain(Presentation(2, 3, (1,), (-1, 0)))
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [((4,), "merged chain has the wrong length"), ((2, 2), "rotation 2 illegal on a chain unknot with framing -2")],
+    ids=["length", "rotation"],
+)
+def test_surjectivity_refuses_a_bad_merged_chain(monkeypatch, entries, message):
+    # the knot's merged entries are checked once, before any presentation is read
+    monkeypatch.setattr(lens, "merged_lens_entries", lambda cf1, cf2: entries)
+    with pytest.raises(VerificationError, match=message):
+        surjectivity_check(2, 3)
+
+
+def test_reduction_matches_the_per_presentation_oracle():
+    # 1072 level-0 presentations over 37 knots, each reduced on its own by the oracle
+    for p, q in coprime_pairs(max_q=15):
+        presentations = list(enumerate_presentations(p, q, 0))
+        chains = [reduce_to_lens_chain(pres) for pres in presentations]
+        assert chains == [lens_chain_by_presentation(pres) for pres in presentations], (p, q)
+        u = p * q + 1
+        assert surjectivity_check(p, q) == (honda_count(u, p * p % u), lens_fibers(p, q)), (p, q)
 
 
 def test_fiber_with_two_surgered_d3_values_raises(monkeypatch):
