@@ -91,9 +91,9 @@ def _dot(a, b) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _kernel(p: int, q: int) -> tuple:
-    """(inverse, w, lk_norm, sigma) = (the chain block of Q^{-1} as rows, the chain
-    entries of Q^{-1} lk, lk^T Q^{-1} lk, sig(Q)): the constants shared by every
-    presentation of T(p, -q), checked on the whole of Q."""
+    """(inverse, w, lk_norm, sigma, det) = (the chain block of Q^{-1} as rows, the
+    chain entries of Q^{-1} lk, lk^T Q^{-1} lk, sig(Q), det Q by det_bareiss): the
+    constants shared by every presentation of T(p, -q), checked on the whole of Q."""
     mat, lk = _linking(p, q)
     det, adj, minors = adjugate(mat)
     if abs(det) != 1:
@@ -101,11 +101,12 @@ def _kernel(p: int, q: int) -> tuple:
     w = [det * _dot(row, lk) for row in adj]
     lk_norm = _dot(lk, w)
     # det(Q_0) = -det(Q) * lk^T Q^{-1} lk: the determinant-ratio tb formula
-    if det_bareiss(_bordered(mat, lk, 0)) != -lk_norm * det_bareiss(mat):
+    ambient = det_bareiss(mat)
+    if det_bareiss(_bordered(mat, lk, 0)) != -lk_norm * ambient:
         raise VerificationError(f"tb from Q^-1 disagrees with the determinant ratio for T({p}, -{q})")
     negative = sum(a * b < 0 for a, b in zip((1,) + minors, minors))
     inverse = tuple(tuple(det * x for x in row[:-2]) for row in adj[:-2])  # (+1)-curves last
-    return inverse, tuple(w[:-2]), lk_norm, len(mat) - 2 * negative
+    return inverse, tuple(w[:-2]), lk_norm, len(mat) - 2 * negative, ambient
 
 
 # ---- invariants
@@ -132,7 +133,7 @@ def bigrading(tb: int, rot: int, d3: int) -> tuple[int, int]:
 
 def classical_invariants(pres: Presentation) -> ClassicalInvariants:
     """tb, rot and the normalized ambient d3 from one kernel lookup."""
-    inverse, w, lk_norm, sigma = _kernel(pres.p, pres.q)
+    inverse, w, lk_norm, sigma, _ = _kernel(pres.p, pres.q)
     r = (*pres.rots1, *pres.rots2)  # the (+1)-curves have rotation 0
     tb = -1 - pres.level - lk_norm
     rot = pres.stab_pos - pres.stab_neg - _dot(r, w)
@@ -181,9 +182,10 @@ def d3_surgered(inv: ClassicalInvariants) -> int:
 
 def smooth_topology(p: int, q: int) -> tuple[int, int, tuple[int, int]]:
     """(det Q, |H1|, (num, den)) of the level-0 diagram of T(p, -q): the
-    determinant of its linking matrix Q, the order of the first homology once
-    the knot is surgered as well, and the lens type L(num, den) read off the
-    chain left after cancelling the (+1)-curves."""
+    determinant of its linking matrix Q, as the kernel eliminated it, the order
+    of the first homology once the knot is surgered as well, from the bordered
+    matrix eliminated here, and the lens type L(num, den) read off the chain
+    left after cancelling the (+1)-curves."""
     mat, lk = _linking(p, q)
     h1 = abs(det_bareiss(_bordered(mat, lk, -2)))
-    return det_bareiss(mat), h1, _continuant(merged_lens_entries(*chain_expansions(p, q)))
+    return _kernel(p, q)[4], h1, _continuant(merged_lens_entries(*chain_expansions(p, q)))

@@ -51,6 +51,11 @@ def test_neg_cf_length_cap():
     assert neg_cf(MAX_ENTRIES + 1, MAX_ENTRIES) == (2,) * MAX_ENTRIES
     with pytest.raises(ValueError):
         neg_cf(MAX_ENTRIES + 2, MAX_ENTRIES + 1)
+    # the run of 2s fits, and the three 3s after it take the expansion past the
+    # cap one entry at a time: the refusal after the loop
+    num, den = cf._continuant((2,) * (MAX_ENTRIES - 2) + (3, 3, 3))
+    with pytest.raises(ValueError, match=f"expansion longer than {MAX_ENTRIES} entries"):
+        neg_cf(num, den)
 
 
 def test_neg_cf_matches_the_stepwise_recurrence():

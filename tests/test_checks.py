@@ -66,6 +66,12 @@ def cold_hfk():
             "tb mismatch for T(2, -3) at level 0",
         ),
         (
+            # T(2, -3) has 4 rotation vectors: 4 * 6 presentations at level 5; the
+            # check lists them once, at level 5, so the refusal names that level
+            "tb-contract", diagram, "MAX_PRESENTATIONS", 12,
+            "ValueError: T(2, -3) has 24 presentations at level 5, more than the limit of 12",
+        ),
+        (
             "smooth-topology", invariants, "smooth_topology", lambda p, q: (0, 7, (7, 4)),
             "T(2, -3): ambient determinant 0, expected +-1",
         ),
@@ -118,7 +124,7 @@ def cold_hfk():
         ),
     ],
     ids=["transverse-counts", "t58-locations", "hfk-towers", "bottoms-and-positive-stabs",
-         "randomized-d-squared", "randomized-euler", "tb-contract", "smooth-topology",
+         "randomized-d-squared", "randomized-euler", "tb-contract", "tb-contract-refused", "smooth-topology",
          "smooth-topology-h1", "smooth-topology-lens", "d3-balanced", "d3-out-of-range",
          "d3-bound-missed", "lens-surjectivity",
          "randomized-cf-roundtrip", "randomized-involution", "randomized-conjugation", "randomized-count"],

@@ -69,7 +69,7 @@ def test_enumeration_counts():
 
 def test_enumeration_refuses_oversized_requests(monkeypatch):
     # the largest admitted T(2, -3) request, 4 * 20000 presentations, peaks at
-    # 424 MB with --json (see diagram.MAX_PRESENTATIONS)
+    # 419 MB with --json on Python 3.11 (see diagram.MAX_PRESENTATIONS)
     assert diagram.MAX_PRESENTATIONS == 80_000
     assert next(enumerate_presentations(2, 3, 19999)).level == 19999
     message = "80004 presentations at level 20000, more than the limit of 80000"
@@ -94,6 +94,33 @@ def test_long_chains_are_refused_before_any_work():
     assert len(list(diagram.rotation_vectors(61, 62, 50))) == 122
     with pytest.raises(ValueError, match="6344 presentations at level 51, more than the limit of 6250"):
         diagram.rotation_vectors(61, 62, 51)
+
+
+def _assert_admitted_levels_are_a_prefix(p, q, vectors, levels, admitted):
+    """Of levels 0, 1, ..., levels - 1, exactly the first `admitted` are admitted,
+    and each yields `vectors`: what lets verify's tb-contract list a knot's
+    rotation vectors once, at its highest level."""
+    for level in range(levels):
+        if level < admitted:
+            assert list(diagram.rotation_vectors(p, q, level)) == vectors, (p, q, level)
+        else:
+            with pytest.raises(ValueError, match=f"at level {level}, more than the limit"):
+                diagram.rotation_vectors(p, q, level)
+
+
+@pytest.mark.parametrize("limit", [80_000, 696, 100, 20])
+def test_admitted_levels_are_a_prefix_on_small_knots(monkeypatch, limit):
+    vectors = {(p, q): list(diagram.rotation_vectors(p, q)) for p, q in coprime_pairs(120)}
+    monkeypatch.setattr(diagram, "MAX_PRESENTATIONS", limit)
+    for (p, q), found in vectors.items():
+        curves = sum(map(len, chains_for(p, q))) + 2
+        admitted = limit * 5 // curves // len(found)  # levels 0 .. admitted - 1 are within the scaled limit
+        _assert_admitted_levels_are_a_prefix(p, q, found, 7, min(admitted, 7))
+
+
+def test_admitted_levels_are_a_prefix_at_the_caps():
+    _assert_admitted_levels_are_a_prefix(2, 3, list(diagram.rotation_vectors(2, 3)), 20001, 20000)
+    _assert_admitted_levels_are_a_prefix(61, 62, list(diagram.rotation_vectors(61, 62)), 52, 51)
 
 
 def test_enumeration_is_valid_and_unique():

@@ -624,8 +624,14 @@ def cold_hfk():
         ("differential", lambda _: {}, "not the homology of the sphere"),  # 3 generators, 0 columns
         ("closed_form_orders", lambda _: (2,), r"torsion orders disagree for T\(2, 3\): towers \(1,\)"),
         ("euler_characteristic", lambda _: {}, "Euler characteristic does not match"),
+        # gaps 2 - 1 = 1 at the even position and 1 - (-1) = 2 at the odd one; the staircase still ends at (-1, -2)
+        ("alexander_exponents", lambda p, q: (2, 1, -1), r"towers \(1,\), closed form \(2,\)"),
+        # x_2 at odd Maslov grading, on its own U-line; exponents and towers as the trefoil's
+        ("staircase", lambda p, q: StaircaseComplex(p, q, ((1, 0), (0, -1), (-1, -1)), (1,)),
+         "Euler characteristic does not match"),
     ],
-    ids=["gap", "staircase-end", "d-squared", "sphere-generators", "closed-form", "euler"],
+    ids=["gap", "staircase-end", "d-squared", "sphere-generators", "closed-form", "euler",
+         "closed-form-exponents", "euler-staircase"],
 )
 def test_failed_hfk_cross_check_raises(monkeypatch, cold_hfk, name, fake, message):
     monkeypatch.setattr(floer, name, fake)

@@ -182,8 +182,8 @@ def test_d3_surgered_is_a_fraction():
 
 
 def _off_by_one_sigma(p, q, kernel=invariants._kernel):
-    inverse, w, lk_norm, sigma = kernel(p, q)
-    return inverse, w, lk_norm, sigma + 1
+    inverse, w, lk_norm, sigma, det = kernel(p, q)
+    return inverse, w, lk_norm, sigma + 1, det
 
 
 def _even_det_adjugate(mat):
@@ -224,6 +224,14 @@ def test_smooth_topology_reports():
         det, h1, (num, den) = smooth_topology(p, q)
         u, v = p * q + 1, p * p % (p * q + 1)
         assert abs(det) == 1 and h1 == num == u and den in (v, pow(v, -1, u))
+
+
+def test_smooth_topology_reads_the_kernels_determinant():
+    pairs = coprime_pairs(120)
+    expected = [det_bareiss(_linking(p, q)[0]) for p, q in pairs]
+    invariants._kernel.cache_clear()
+    for warmth in ("cold", "warm"):
+        assert [smooth_topology(p, q)[0] for p, q in pairs] == expected, warmth
 
 
 # ---- the per-knot kernel against the per-presentation Fraction oracle
